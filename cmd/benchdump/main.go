@@ -471,7 +471,6 @@ func checkFiles(dirJSON, figJSON, clusterJSON, artTXT string) error {
 	}
 	for _, want := range []string{
 		"BenchmarkDirMatch/100", "BenchmarkDirMatch/10k", "BenchmarkDirMatch/1M",
-		"BenchmarkDirMatchInterp/100", "BenchmarkDirMatchInterp/10k", "BenchmarkDirMatchInterp/1M",
 		"BenchmarkDirAdd", "BenchmarkDirTakeRange",
 	} {
 		if !names[want] {

@@ -43,9 +43,6 @@ func TestCheckFilesRoundTrip(t *testing.T) {
 			{Name: "BenchmarkDirMatch/100-8", Iterations: 1, NsPerOp: 61},
 			{Name: "BenchmarkDirMatch/10k-8", Iterations: 1, NsPerOp: 230},
 			{Name: "BenchmarkDirMatch/1M-8", Iterations: 1, NsPerOp: 11646},
-			{Name: "BenchmarkDirMatchInterp/100-8", Iterations: 1, NsPerOp: 60},
-			{Name: "BenchmarkDirMatchInterp/10k-8", Iterations: 1, NsPerOp: 200},
-			{Name: "BenchmarkDirMatchInterp/1M-8", Iterations: 1, NsPerOp: 9000},
 			{Name: "BenchmarkDirAdd-8", Iterations: 1, NsPerOp: 8291},
 			{Name: "BenchmarkDirTakeRange-8", Iterations: 1, NsPerOp: 741162},
 		},

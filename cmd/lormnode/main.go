@@ -28,16 +28,12 @@ import (
 	"syscall"
 	"time"
 
-	"lorm/internal/art"
-	"lorm/internal/core"
 	"lorm/internal/discovery"
 	"lorm/internal/emulate"
-	"lorm/internal/maan"
-	"lorm/internal/mercury"
 	"lorm/internal/metrics"
 	"lorm/internal/resource"
 	"lorm/internal/routing"
-	"lorm/internal/sword"
+	"lorm/internal/systemtest"
 	"lorm/internal/tracing"
 	"lorm/internal/transport"
 )
@@ -149,42 +145,18 @@ func fitDimension(nodes int) int {
 	return 20
 }
 
+// buildSystem constructs the named system through the deployment registry,
+// the one list of systems, over nodes synthetic peer addresses.
 func buildSystem(name string, d int, bits uint, schema *resource.Schema, nodes int, logger *slog.Logger) (discovery.System, error) {
 	addrs := make([]string, nodes)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("peer-%04d", i)
 	}
-	switch name {
-	case "lorm":
-		sys, err := core.New(core.Config{D: d, Schema: schema, Logger: logger})
-		if err != nil {
-			return nil, err
+	opts := systemtest.Options{D: d, Bits: bits, Logger: logger}
+	for _, spec := range systemtest.Registry() {
+		if spec.Name == name {
+			return spec.Build(&systemtest.Deployment{Schema: schema, N: nodes}, schema, addrs, opts)
 		}
-		return sys, sys.AddNodes(addrs)
-	case "mercury":
-		sys, err := mercury.New(mercury.Config{Bits: bits, Schema: schema, Logger: logger})
-		if err != nil {
-			return nil, err
-		}
-		return sys, sys.AddNodes(addrs)
-	case "sword":
-		sys, err := sword.New(sword.Config{Bits: bits, Schema: schema, Logger: logger})
-		if err != nil {
-			return nil, err
-		}
-		return sys, sys.AddNodes(addrs)
-	case "maan":
-		sys, err := maan.New(maan.Config{Bits: bits, Schema: schema, Logger: logger})
-		if err != nil {
-			return nil, err
-		}
-		return sys, sys.AddNodes(addrs)
-	case "art":
-		sys, err := art.New(art.Config{Bits: bits, Schema: schema, Logger: logger})
-		if err != nil {
-			return nil, err
-		}
-		return sys, sys.AddNodes(addrs)
 	}
 	return nil, fmt.Errorf("unknown system %q", name)
 }

@@ -41,6 +41,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"lorm/internal/capability"
 	"lorm/internal/chord"
 	"lorm/internal/directory"
 	"lorm/internal/discovery"
@@ -70,8 +71,12 @@ type Config struct {
 // System is an ART deployment: a trie-descent router layered over one
 // Chord ring, which provides membership, value buckets (per-node
 // directories), successor links for range walks, crash semantics and
-// replica placement.
+// replica placement. The embedded capability base supplies the
+// control-plane faces over the ring; ART overrides the three that must keep
+// the trie view honest (AddNode, Maintain, Rebalance) and OutlinkCounts,
+// which counts trie links rather than fingers.
 type System struct {
+	*capability.Base[*chord.Node]
 	schema *resource.Schema
 	ring   *chord.Ring
 	fabric *routing.Fabric
@@ -79,14 +84,18 @@ type System struct {
 	geo    trieGeometry
 
 	// view is the stale membership snapshot the trie descent routes over;
-	// refreshed by rebuilds only, never by individual joins or crashes.
+	// refreshed by rebuilds only, never by individual joins or crashes (a
+	// crashed node stays listed until Maintain — descent hops detect the
+	// dead representative against fresh membership and fall back).
 	view atomic.Pointer[trieView]
 }
 
 var (
-	_ discovery.System     = (*System)(nil)
-	_ discovery.Dynamic    = (*System)(nil)
+	_ discovery.Traced     = (*System)(nil)
 	_ discovery.Crashable  = (*System)(nil)
+	_ discovery.NetAware   = (*System)(nil)
+	_ discovery.Replicated = (*System)(nil)
+	_ discovery.Balancer   = (*System)(nil)
 	_ routing.Instrumented = (*System)(nil)
 )
 
@@ -96,18 +105,20 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("art: config needs a schema")
 	}
 	r := chord.New(chord.Config{Bits: cfg.Bits, SuccListLen: cfg.SuccListLen, Salt: "art", FingerRng: cfg.FingerRng})
-	s := &System{
+	// ART stores each piece once, under its value key, so one unfiltered
+	// replicator over the ring's Placement protects everything.
+	rep := replication.NewReplicator(r.Placement(), replication.WithLogger(cfg.Logger))
+	base := capability.New("art", cfg.Schema, capability.Plane[*chord.Node]{
+		Overlay: r, Reps: []*replication.Replicator{rep}})
+	return &System{
+		Base:   base,
 		schema: cfg.Schema,
 		ring:   r,
-		fabric: routing.NewFabric("art"),
+		fabric: base.RoutingFabric(),
+		rep:    rep,
 		geo:    newGeometry(r.Space().Bits()),
-	}
-	s.rep = replication.NewReplicator(r.Placement(), replication.WithLogger(cfg.Logger))
-	return s, nil
+	}, nil
 }
-
-// RoutingFabric implements routing.Instrumented.
-func (s *System) RoutingFabric() *routing.Fabric { return s.fabric }
 
 // AddNodes bulk-populates the ring and rebuilds the trie view.
 func (s *System) AddNodes(addrs []string) error {
@@ -130,15 +141,6 @@ func (s *System) rebuildView() {
 	s.view.Store(&trieView{nodes: s.ring.Nodes()})
 	mTrieRebuilds.Inc()
 }
-
-// Name implements discovery.System.
-func (s *System) Name() string { return "art" }
-
-// Schema implements discovery.System.
-func (s *System) Schema() *resource.Schema { return s.schema }
-
-// NodeCount implements discovery.System.
-func (s *System) NodeCount() int { return s.ring.Size() }
 
 // valueKey maps an attribute value into the attribute's key sector:
 // attribute i of m owns [i/m, (i+1)/m) of the ring and the value lands at
@@ -255,19 +257,31 @@ func (s *System) resolveSub(op *routing.Op, requester string, sub resource.SubQu
 		return nil, err
 	}
 
-	// Dedupe across replica holders (copies agree on owner and value);
-	// scratch is reused across nodes so each bucket match is
-	// allocation-free.
-	seen := make(map[string]bool)
-	var matches, scratch []resource.Info
+	// With replicas in play the walk collects entries into a Gather that
+	// suppresses replica copies per logical entry; otherwise every piece is
+	// stored once and matches append straight into the result — a resource
+	// announced twice is returned twice, as the oracle does.
+	var (
+		matches []resource.Info
+		g       *replication.Gather
+		ebuf    []directory.Entry
+	)
+	if s.rep.Active() {
+		g = replication.NewGather()
+	}
 	collect := func(n *chord.Node) {
-		scratch = n.Dir.MatchAppend(scratch[:0], sub.Attr, sub.Low, sub.High)
-		for _, in := range scratch {
-			if k := in.Owner + "\x00" + fmt.Sprint(in.Value); !seen[k] {
-				seen[k] = true
-				matches = append(matches, in)
-			}
+		if g != nil {
+			ebuf = n.Dir.MatchEntriesAppend(ebuf[:0], sub.Attr, sub.Low, sub.High)
+			g.AddBatch(ebuf)
+			return
 		}
+		matches = n.Dir.MatchAppend(matches, sub.Attr, sub.Low, sub.High)
+	}
+	result := func() []resource.Info {
+		if g != nil {
+			return g.Infos()
+		}
+		return matches
 	}
 
 	loKey := s.valueKey(idx, sub.Low)
@@ -283,7 +297,7 @@ func (s *System) resolveSub(op *routing.Op, requester string, sub resource.SubQu
 			op.Visit(n.Addr, n.ID)
 			op.Forward(plan.Probe.Addr, plan.Probe.Pos, routing.ReasonReplicaRead)
 			collect(n)
-			return matches, nil
+			return result(), nil
 		}
 	}
 	root, err := s.route(op, from, loKey)
@@ -310,11 +324,8 @@ func (s *System) resolveSub(op *routing.Op, requester string, sub resource.SubQu
 		op.Visit(cur.Addr, cur.ID)
 		collect(cur)
 	}
-	return matches, nil
+	return result(), nil
 }
-
-// DirectorySizes implements discovery.System: per-node bucket sizes.
-func (s *System) DirectorySizes() []int { return s.ring.DirectorySizes() }
 
 // OutlinkCounts implements discovery.System: the conceptual trie routing
 // state per node — for every level of the node's own root-to-leaf path,
@@ -348,17 +359,16 @@ func (s *System) OutlinkCounts() []int {
 	return out
 }
 
-// AddNode implements discovery.Dynamic: a protocol join on the ring. The
-// newcomer splits the bucket of its successor — the ring hands over the key
-// interval the new node now owns — but stays invisible to the trie descent
-// until the next Maintain rebuilds the view, exactly like a real trie's
-// cached representative links.
+// AddNode overrides the base to count bucket splits. The newcomer splits
+// the bucket of its successor — the ring hands over the key interval the new
+// node now owns — but stays invisible to the trie descent until the next
+// Maintain rebuilds the view, exactly like a real trie's cached
+// representative links.
 func (s *System) AddNode(addr string) error {
-	n, err := s.ring.Join(addr)
-	if err != nil {
+	if err := s.Base.AddNode(addr); err != nil {
 		return err
 	}
-	if n.Dir.Len() > 0 {
+	if n, ok := s.ring.NodeByAddr(addr); ok && n.Dir.Len() > 0 {
 		// The join handed over a non-empty key interval: one bucket split,
 		// executed as one handover. The decision site and the execution
 		// site count separately and metricscheck -art asserts they agree.
@@ -368,39 +378,18 @@ func (s *System) AddNode(addr string) error {
 	return nil
 }
 
-// RemoveNode implements discovery.Dynamic: a graceful leave; the departing
-// node's bucket merges into its successor's.
-func (s *System) RemoveNode(addr string) error {
-	n, ok := s.ring.NodeByAddr(addr)
-	if !ok {
-		return fmt.Errorf("art: no node with address %q", addr)
-	}
-	return s.ring.Leave(n)
-}
-
-// FailNode implements discovery.Crashable: the node vanishes abruptly with
-// its bucket. The trie view still lists it — descent hops detect the dead
-// representative against fresh membership and fall back — until Maintain
-// rebuilds.
-func (s *System) FailNode(addr string) (lostEntries int, err error) {
-	n, ok := s.ring.NodeByAddr(addr)
-	if !ok {
-		return 0, fmt.Errorf("art: no node with address %q", addr)
-	}
-	return s.ring.Fail(n)
-}
-
-// NodeAddrs implements discovery.Dynamic.
-func (s *System) NodeAddrs() []string { return s.ring.Addrs() }
-
-// Maintain implements discovery.Dynamic: one ring stabilization round,
-// replica repair when replicas are in play, and a trie view rebuild — the
-// point where joins and failures become visible to the descent.
+// Maintain overrides the base to rebuild the trie view after the ring
+// round — the point where joins and failures become visible to the descent.
 func (s *System) Maintain() {
-	s.ring.Stabilize()
-	s.ring.FixFingers(0)
-	if s.rep.Active() {
-		s.rep.Repair()
-	}
+	s.Base.Maintain()
 	s.rebuildView()
+}
+
+// Rebalance overrides the base to rebuild the trie view after the pass:
+// boundary moves replace node objects, so descent tables would otherwise
+// point at retired nodes and every route would fall back.
+func (s *System) Rebalance() (discovery.MigrationStats, error) {
+	stats, err := s.Base.Rebalance()
+	s.rebuildView()
+	return stats, err
 }

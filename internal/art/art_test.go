@@ -263,32 +263,10 @@ func TestOutlinkCountsBounded(t *testing.T) {
 	}
 }
 
-func TestMetadataAndDynamics(t *testing.T) {
+func TestGeometryAccessor(t *testing.T) {
 	s := build(t, 20)
-	if s.Name() != "art" || s.NodeCount() != 20 || s.Schema().Len() != 2 {
-		t.Fatal("metadata wrong")
-	}
-	if s.Ring() == nil {
-		t.Fatal("Ring accessor nil")
-	}
 	if got := len(s.Geometry()); got != s.geo.levels() {
 		t.Fatalf("Geometry len = %d, want %d", got, s.geo.levels())
-	}
-	if err := s.AddNode("newbie"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveNode("newbie"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveNode("ghost"); err == nil {
-		t.Fatal("removing unknown node should error")
-	}
-	if _, err := s.FailNode("ghost"); err == nil {
-		t.Fatal("failing unknown node should error")
-	}
-	s.Maintain()
-	if got := len(s.NodeAddrs()); got != 20 {
-		t.Fatalf("NodeAddrs = %d, want 20", got)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 
+	"lorm/internal/capability"
 	"lorm/internal/cycloid"
 	"lorm/internal/directory"
 	"lorm/internal/discovery"
@@ -49,9 +50,12 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// System is a LORM deployment. It implements discovery.System and
-// discovery.Dynamic.
+// System is a LORM deployment. The embedded capability base supplies the
+// control-plane faces (churn, crashes, fault planes, replication,
+// rebalancing) over the one Cycloid overlay; this package is the request
+// path.
 type System struct {
+	*capability.Base[*cycloid.Node]
 	schema    *resource.Schema
 	overlay   *cycloid.Overlay
 	cubeSpace ring.Space // d-bit space: consistent hash of attribute → cluster
@@ -60,9 +64,11 @@ type System struct {
 }
 
 var (
-	_ discovery.System     = (*System)(nil)
-	_ discovery.Dynamic    = (*System)(nil)
+	_ discovery.Traced     = (*System)(nil)
 	_ discovery.Crashable  = (*System)(nil)
+	_ discovery.NetAware   = (*System)(nil)
+	_ discovery.Replicated = (*System)(nil)
+	_ discovery.Balancer   = (*System)(nil)
 	_ routing.Instrumented = (*System)(nil)
 )
 
@@ -76,17 +82,18 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	rep := replication.NewReplicator(ov.Placement(), replication.WithLogger(cfg.Logger))
+	base := capability.New("lorm", cfg.Schema, capability.Plane[*cycloid.Node]{
+		Overlay: ov, Reps: []*replication.Replicator{rep}})
 	return &System{
+		Base:      base,
 		schema:    cfg.Schema,
 		overlay:   ov,
 		cubeSpace: ring.NewSpace(uint(cfg.D)),
-		rep:       replication.NewReplicator(ov.Placement(), replication.WithLogger(cfg.Logger)),
-		fabric:    routing.NewFabric("lorm"),
+		rep:       rep,
+		fabric:    base.RoutingFabric(),
 	}, nil
 }
-
-// RoutingFabric implements routing.Instrumented.
-func (s *System) RoutingFabric() *routing.Fabric { return s.fabric }
 
 // AddNodes bulk-populates the overlay with the given node addresses.
 func (s *System) AddNodes(addrs []string) error { return s.overlay.AddBulk(addrs) }
@@ -97,15 +104,6 @@ func (s *System) PopulateComplete() error { return s.overlay.AddComplete() }
 
 // Overlay exposes the underlying Cycloid for experiments and diagnostics.
 func (s *System) Overlay() *cycloid.Overlay { return s.overlay }
-
-// Name implements discovery.System.
-func (s *System) Name() string { return "lorm" }
-
-// Schema implements discovery.System.
-func (s *System) Schema() *resource.Schema { return s.schema }
-
-// NodeCount implements discovery.System.
-func (s *System) NodeCount() int { return s.overlay.Size() }
 
 // clusterOf returns the cubical index H(attr) — the attribute's home
 // cluster.
@@ -275,38 +273,4 @@ func (s *System) resolveSub(op *routing.Op, from *cycloid.Node, sub resource.Sub
 		return g.Infos(), nil
 	}
 	return matches, nil
-}
-
-// DirectorySizes implements discovery.System.
-func (s *System) DirectorySizes() []int { return s.overlay.DirectorySizes() }
-
-// OutlinkCounts implements discovery.System.
-func (s *System) OutlinkCounts() []int { return s.overlay.OutlinkCounts() }
-
-// AddNode implements discovery.Dynamic via a Cycloid protocol join.
-func (s *System) AddNode(addr string) error {
-	_, err := s.overlay.Join(addr)
-	return err
-}
-
-// RemoveNode implements discovery.Dynamic via a graceful departure.
-func (s *System) RemoveNode(addr string) error {
-	n, ok := s.overlay.NodeByAddr(addr)
-	if !ok {
-		return fmt.Errorf("core: no node with address %q", addr)
-	}
-	return s.overlay.Leave(n)
-}
-
-// NodeAddrs implements discovery.Dynamic.
-func (s *System) NodeAddrs() []string { return s.overlay.Addrs() }
-
-// Maintain implements discovery.Dynamic: one self-organization round,
-// followed by a replica-repair pass when any replicas (base factor or
-// hot-key promotions) are in play.
-func (s *System) Maintain() {
-	s.overlay.Stabilize()
-	if s.rep.Active() {
-		s.rep.Repair()
-	}
 }

@@ -8,22 +8,6 @@ import (
 	"lorm/internal/workload"
 )
 
-func TestSetReplicasValidation(t *testing.T) {
-	s := buildLORM(t, 6, false, 32)
-	if err := s.SetReplicas(0); err == nil {
-		t.Fatal("SetReplicas(0) should error")
-	}
-	if err := s.SetReplicas(1 << 20); err == nil {
-		t.Fatal("absurd replication factor should error")
-	}
-	if err := s.SetReplicas(3); err != nil {
-		t.Fatal(err)
-	}
-	if s.Replicas() != 3 {
-		t.Fatalf("Replicas = %d", s.Replicas())
-	}
-}
-
 func TestReplicationStoresCopies(t *testing.T) {
 	s := buildLORM(t, 6, false, 64)
 	if err := s.SetReplicas(3); err != nil {
@@ -174,12 +158,5 @@ func TestRepairIdempotent(t *testing.T) {
 	}
 	if a, r := s.Repair(); a != 0 || r != 20 {
 		t.Fatalf("repair after lowering factor: +%d -%d, want +0 -20", a, r)
-	}
-}
-
-func TestFailNodeErrors(t *testing.T) {
-	s := buildLORM(t, 6, false, 4)
-	if _, err := s.FailNode("ghost"); err == nil {
-		t.Fatal("failing unknown node should error")
 	}
 }

@@ -73,29 +73,6 @@ func BenchmarkDirMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDirMatchInterp is BenchmarkDirMatch with the interpolation-search
-// fast path enabled; the bench values are uniform, the distribution the
-// O(log log n) probe bound holds for, so the delta against BenchmarkDirMatch
-// in BENCH_directory.json is the honest headline number.
-func BenchmarkDirMatchInterp(b *testing.B) {
-	for _, n := range []int{100, 10_000, 1_000_000} {
-		name := map[int]string{100: "100", 10_000: "10k", 1_000_000: "1M"}[n]
-		b.Run(name, func(b *testing.B) {
-			s := newBenchStore(n)
-			s.Configure(WithInterpolation())
-			ws := matchWindows(rand.New(rand.NewSource(7)), 1024)
-			var dst []resource.Info
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := ws[i&1023]
-				dst = s.MatchAppend(dst[:0], "cpu", w[0], w[1])
-			}
-			sinkInfos = dst
-		})
-	}
-}
-
 func BenchmarkDirMatchLinear(b *testing.B) {
 	for _, n := range []int{10_000} {
 		b.Run("10k", func(b *testing.B) {

@@ -223,99 +223,6 @@ func upperVal(s []Entry, hi float64) int {
 	return i
 }
 
-// Interpolation variants of the value bounds, used when the store was
-// configured WithInterpolation. Each probe position is predicted from the
-// value distribution of the remaining window instead of halving it; on
-// near-uniform data (the Figure 3 uniform value model) that converges in
-// O(log log n) probes. The probes are guarded — a bounded probe budget with
-// a binary-search tail — so adversarial distributions degrade gracefully to
-// O(log n) and the result index is always identical to lowerVal/upperVal.
-
-// interpProbeBudget bounds the interpolation phase; log log n for any
-// realistic n is < 6, so 8 guarded probes capture the win while capping the
-// pathological case (heavily clustered values) at a constant.
-const interpProbeBudget = 8
-
-// interpMinWindow is the window size below which interpolation stops paying
-// for its divisions and the binary tail finishes the search.
-const interpMinWindow = 32
-
-// lowerValInterp returns the first index with Value >= lo, equal to
-// lowerVal(s, lo) for every input.
-func lowerValInterp(s []Entry, lo float64) int {
-	i, j := 0, len(s)
-	for probe := 0; j-i > interpMinWindow && probe < interpProbeBudget; probe++ {
-		a, b := s[i].Info.Value, s[j-1].Info.Value
-		if a >= lo {
-			return i // invariant: everything before i is < lo
-		}
-		if b < lo {
-			return j // the whole window is < lo
-		}
-		if !(b > a) {
-			break // flat or NaN window: interpolation is undefined
-		}
-		h := i + int((lo-a)/(b-a)*float64(j-1-i))
-		if h <= i {
-			h = i + 1
-		} else if h >= j {
-			h = j - 1
-		}
-		if s[h].Info.Value < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Info.Value < lo {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
-// upperValInterp returns the first index with Value > hi, equal to
-// upperVal(s, hi) for every input.
-func upperValInterp(s []Entry, hi float64) int {
-	i, j := 0, len(s)
-	for probe := 0; j-i > interpMinWindow && probe < interpProbeBudget; probe++ {
-		a, b := s[i].Info.Value, s[j-1].Info.Value
-		if a > hi {
-			return i
-		}
-		if b <= hi {
-			return j
-		}
-		if !(b > a) {
-			break
-		}
-		h := i + int((hi-a)/(b-a)*float64(j-1-i))
-		if h <= i {
-			h = i + 1
-		} else if h >= j {
-			h = j - 1
-		}
-		if s[h].Info.Value <= hi {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if s[h].Info.Value <= hi {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	return i
-}
-
 // lowerKey returns the first index with Key >= k.
 func lowerKey(s []Entry, k uint64) int {
 	i, j := 0, len(s)
@@ -366,31 +273,10 @@ func identOf(e Entry) ident {
 
 // Store is a concurrency-safe directory. The zero value is ready to use.
 type Store struct {
-	mu     sync.RWMutex
-	parts  map[string]*partition
-	names  []string // sorted attribute names, for deterministic iteration
-	count  atomic.Int64
-	interp atomic.Bool // use interpolation search on the value views
-}
-
-// Option configures a Store in place.
-type Option func(*Store)
-
-// WithInterpolation switches the value-view bounds in Match/MatchAppend to
-// guarded interpolation search (O(log log n) probes on near-uniform value
-// distributions, binary-search tail otherwise). Results are bit-identical
-// to the default binary search; only the probe sequence changes.
-func WithInterpolation() Option {
-	return func(s *Store) { s.interp.Store(true) }
-}
-
-// Configure applies options to the store. Safe to call at any time — the
-// zero value starts with every option off, and options flip atomics, so
-// concurrent readers observe either the old or the new configuration.
-func (s *Store) Configure(opts ...Option) {
-	for _, o := range opts {
-		o(s)
-	}
+	mu    sync.RWMutex
+	parts map[string]*partition
+	names []string // sorted attribute names, for deterministic iteration
+	count atomic.Int64
 }
 
 // part returns the attribute's partition, or nil.
@@ -506,14 +392,8 @@ func (s *Store) MatchAppend(dst []resource.Info, attr string, lo, hi float64) []
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	m, st := p.vals.main, p.vals.stage
-	var i1, j1, i2, j2 int
-	if s.interp.Load() {
-		i1, j1 = lowerValInterp(m, lo), upperValInterp(m, hi)
-		i2, j2 = lowerValInterp(st, lo), upperValInterp(st, hi)
-	} else {
-		i1, j1 = lowerVal(m, lo), upperVal(m, hi)
-		i2, j2 = lowerVal(st, lo), upperVal(st, hi)
-	}
+	i1, j1 := lowerVal(m, lo), upperVal(m, hi)
+	i2, j2 := lowerVal(st, lo), upperVal(st, hi)
 	k := (j1 - i1) + (j2 - i2)
 	if k == 0 {
 		return dst
@@ -557,14 +437,8 @@ func (s *Store) MatchEntriesAppend(dst []Entry, attr string, lo, hi float64) []E
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	m, st := p.vals.main, p.vals.stage
-	var i1, j1, i2, j2 int
-	if s.interp.Load() {
-		i1, j1 = lowerValInterp(m, lo), upperValInterp(m, hi)
-		i2, j2 = lowerValInterp(st, lo), upperValInterp(st, hi)
-	} else {
-		i1, j1 = lowerVal(m, lo), upperVal(m, hi)
-		i2, j2 = lowerVal(st, lo), upperVal(st, hi)
-	}
+	i1, j1 := lowerVal(m, lo), upperVal(m, hi)
+	i2, j2 := lowerVal(st, lo), upperVal(st, hi)
 	k := (j1 - i1) + (j2 - i2)
 	if k == 0 {
 		return dst

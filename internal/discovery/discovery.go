@@ -1,9 +1,9 @@
-// Package discovery defines the common interface of the four resource
-// discovery systems the paper compares — LORM, Mercury, SWORD and MAAN —
-// together with the cost accounting (logical hops, visited directory
-// nodes, messages) every experiment measures.
+// Package discovery defines the common interface of the five resource
+// discovery systems of the comparison — the paper's LORM, Mercury, SWORD
+// and MAAN, plus ART — together with the cost accounting (logical hops,
+// visited directory nodes, messages) every experiment measures.
 //
-// All four systems implement System; the experiment harness and the
+// All five systems implement System; the experiment harness and the
 // cross-system equivalence tests are written purely against it.
 package discovery
 
@@ -95,7 +95,7 @@ func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
 
 // Traced is implemented by systems whose Register/Discover can join a
 // caller-provided trace: the variants behave identically to the System
-// methods but parent their routing-fabric spans under ctx. All four
+// methods but parent their routing-fabric spans under ctx. All five
 // systems implement it; transport servers use it to link server-side
 // spans to the client that carried ctx over the wire.
 type Traced interface {

@@ -39,8 +39,9 @@ func WithHopLatency(sys discovery.System, perHop time.Duration) discovery.System
 
 // sleep charges one operation's wide-area time: its message count (hops
 // plus directory visits, each one network message in a real deployment)
-// times the per-hop delay. Failed operations still traveled their partial
-// path, so the charge applies regardless of error.
+// times the per-hop delay. A failed operation is not charged: Discover
+// returns no Result, and so no cost, with its error, and Register reports
+// the zero cost.
 func (h *HopLatency) sleep(c discovery.Cost) {
 	if n := c.Messages; n > 0 {
 		time.Sleep(time.Duration(n) * h.PerHop)

@@ -10,6 +10,7 @@ import (
 	"lorm/internal/cycloid"
 	"lorm/internal/directory"
 	"lorm/internal/discovery"
+	"lorm/internal/replication"
 	"lorm/internal/resource"
 	"lorm/internal/routing"
 )
@@ -134,6 +135,16 @@ func skewedRing(t *testing.T, nNodes, baseline, pileup int) *chord.Ring {
 	return r
 }
 
+// ringLoads samples every holder's directory size in ring order.
+func ringLoads(p replication.Placement) []discovery.NodeLoad {
+	ring := p.HolderRing()
+	out := make([]discovery.NodeLoad, len(ring))
+	for i, h := range ring {
+		out[i] = discovery.NodeLoad{Addr: h.Addr, Entries: h.Dir.Len()}
+	}
+	return out
+}
+
 func chordTotal(r *chord.Ring) int {
 	total := 0
 	for _, sz := range r.DirectorySizes() {
@@ -142,19 +153,18 @@ func chordTotal(r *chord.Ring) int {
 	return total
 }
 
-func TestRebalanceChordReducesImbalance(t *testing.T) {
+func TestRebalanceOnChordReducesImbalance(t *testing.T) {
 	r := skewedRing(t, 16, 160, 400)
-	m := chordMigrator{r: r}
-	before := Analyze(m.Loads(), 3)
+	before := Analyze(ringLoads(r.Placement()), 3)
 	if before.MaxMean < 2 {
 		t.Fatalf("setup not skewed enough: %+v", before)
 	}
 	total := chordTotal(r)
-	stats := RebalanceChord(r, Options{})
+	stats := Rebalance(r)
 	if stats.Passes != 1 || stats.Migrations == 0 || stats.EntriesMoved == 0 {
 		t.Fatalf("stats = %+v, want at least one migration", stats)
 	}
-	after := Analyze(m.Loads(), 3)
+	after := Analyze(ringLoads(r.Placement()), 3)
 	if after.MaxMean >= before.MaxMean {
 		t.Fatalf("max/mean did not improve: %.3f -> %.3f", before.MaxMean, after.MaxMean)
 	}
@@ -191,7 +201,7 @@ func TestRebalanceChordReducesImbalance(t *testing.T) {
 
 // A single-key pileup (the SWORD attribute-pool shape) is indivisible: the
 // planner must report it blocked, move nothing, and terminate.
-func TestRebalanceChordSingleKeyPoolBlocked(t *testing.T) {
+func TestRebalanceSingleKeyPoolBlocked(t *testing.T) {
 	r := chord.New(chord.Config{Bits: 20})
 	addrs := make([]string, 10)
 	for i := range addrs {
@@ -208,7 +218,7 @@ func TestRebalanceChordSingleKeyPoolBlocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := RebalanceChord(r, Options{})
+	stats := Rebalance(r)
 	if stats.Migrations != 0 || stats.EntriesMoved != 0 {
 		t.Fatalf("indivisible pool migrated: %+v", stats)
 	}
@@ -220,7 +230,7 @@ func TestRebalanceChordSingleKeyPoolBlocked(t *testing.T) {
 	}
 }
 
-func TestRebalanceCycloidReducesImbalance(t *testing.T) {
+func TestRebalanceOnCycloidReducesImbalance(t *testing.T) {
 	o := cycloid.MustNew(cycloid.Config{D: 6}) // capacity 384
 	addrs := make([]string, 24)
 	for i := range addrs {
@@ -252,13 +262,12 @@ func TestRebalanceCycloidReducesImbalance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := cycloidMigrator{o: o}
-	before := Analyze(m.Loads(), 3)
-	stats := RebalanceCycloid(o, Options{})
+	before := Analyze(ringLoads(o.Placement()), 3)
+	stats := Rebalance(o)
 	if stats.Migrations == 0 {
 		t.Fatalf("no migrations: %+v (before %+v)", stats, before)
 	}
-	after := Analyze(m.Loads(), 3)
+	after := Analyze(ringLoads(o.Placement()), 3)
 	if after.MaxMean >= before.MaxMean {
 		t.Fatalf("max/mean did not improve: %.3f -> %.3f", before.MaxMean, after.MaxMean)
 	}
@@ -281,7 +290,7 @@ func TestRebalanceCycloidReducesImbalance(t *testing.T) {
 
 // On a complete cycloid overlay there is no free identifier anywhere, so
 // every hotspot is structurally blocked.
-func TestRebalanceCycloidCompleteOverlayBlocked(t *testing.T) {
+func TestRebalanceCompleteCycloidBlocked(t *testing.T) {
 	o := cycloid.MustNew(cycloid.Config{D: 4}) // 64 nodes, complete
 	if err := o.AddComplete(); err != nil {
 		t.Fatal(err)
@@ -293,7 +302,7 @@ func TestRebalanceCycloidCompleteOverlayBlocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := RebalanceCycloid(o, Options{})
+	stats := Rebalance(o)
 	if stats.Migrations != 0 || stats.Blocked == 0 {
 		t.Fatalf("complete overlay rebalance = %+v, want blocked only", stats)
 	}

@@ -2,121 +2,133 @@ package loadbalance
 
 import (
 	"fmt"
-	"io"
-	"log/slog"
 	"sort"
 
-	"lorm/internal/chord"
-	"lorm/internal/cycloid"
 	"lorm/internal/directory"
 	"lorm/internal/discovery"
+	"lorm/internal/replication"
 )
 
-// Options tunes one migration pass.
-type Options struct {
-	// Threshold is the max/mean load factor above which a node counts as a
-	// hotspot worth shedding. Defaults to 1.2 — below that, a boundary move
-	// churns entries for marginal gain.
-	Threshold float64
-	// MaxMigrations caps boundary moves per pass; ≤ 0 means 2× the node
-	// count, enough for the greedy planner to converge on any one sample.
-	MaxMigrations int
-	// Logger, when non-nil, receives one structured Debug line per executed
-	// boundary move and per blocked hotspot. Nil disables event logging.
-	Logger *slog.Logger
+// hotThreshold is the max/mean load factor above which a node counts as a
+// hotspot worth shedding: below it, a boundary move churns entries for
+// marginal gain.
+const hotThreshold = 1.2
+
+// Mover is the overlay surface one migration pass needs: the placement
+// view (ring-ordered holders with their directories, and the size of the
+// position space) plus the two boundary moves. chord.Ring and
+// cycloid.Overlay both implement it, with N their node type.
+type Mover[N any] interface {
+	Placement() replication.Placement
+	NodeByAddr(addr string) (N, bool)
+	// Advance moves n clockwise to newPos, taking the key interval
+	// (old position, newPos] over from its ring successor.
+	Advance(n N, newPos uint64) (N, int, error)
+	// Retreat moves n counterclockwise to newPos, handing the key interval
+	// (newPos, old position] to its ring successor.
+	Retreat(n N, newPos uint64) (N, int, error)
 }
 
-func (o Options) withDefaults(nodes int) Options {
-	if o.Threshold <= 0 {
-		o.Threshold = 1.2
-	}
-	if o.MaxMigrations <= 0 {
-		o.MaxMigrations = 2 * nodes
-	}
-	if o.Logger == nil {
-		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	return o
-}
-
-// migrator abstracts the two overlays for the planner: the planner owns
-// policy (which hotspot, how much), the adapter owns mechanics (which keys,
-// which boundary move).
-type migrator interface {
-	// Loads returns every node's storage load in ring order.
-	Loads() []discovery.NodeLoad
-	// Shed plans both shed directions for the named node — a key-interval
-	// prefix to its ring predecessor (the predecessor advances) or a suffix
-	// to its ring successor (the node retreats) — under the per-direction
-	// entry budgets, and executes the larger viable one. It returns the
-	// number of entries actually moved; 0 means the node's key-groups fit
-	// neither budget (an indivisible pileup).
-	Shed(addr string, budgetPred, budgetSucc int) (int, error)
-}
-
-// runPass greedily sheds from the hottest node until every node is within
-// threshold of the mean, every remaining hotspot is blocked, or the
-// migration cap is reached. Each shed moves at most half the load gap to
-// the receiving neighbor, so the receiver always stays strictly below the
-// hotspot's old load — the global maximum never increases, and any
-// successful shed from the maximum node strictly reduces it (entry totals
-// are conserved, so the mean is untouched).
-func runPass(m migrator, opts Options) discovery.MigrationStats {
+// Rebalance runs one item-migration pass over an overlay: it greedily sheds
+// from the hottest node until every node is within hotThreshold of the
+// mean, every remaining hotspot is blocked, or 2n boundary moves have been
+// made (enough for the greedy planner to converge on any one sample). Each
+// shed moves at most half the load gap to the receiving neighbor, so the
+// receiver always stays strictly below the hotspot's old load — the global
+// maximum never increases, and any successful shed from the maximum node
+// strictly reduces it (entry totals are conserved, so the mean is
+// untouched).
+//
+// A hotspot whose key-groups fit neither neighbor's budget is reported
+// blocked: a single-key pileup (SWORD's attribute pool), or — on a dense
+// position space like a complete Cycloid, where no identifier between two
+// ring neighbors is free — every hotspot.
+func Rebalance[N any](o Mover[N]) discovery.MigrationStats {
 	stats := discovery.MigrationStats{Passes: 1}
 	mPasses.Inc()
-	opts = opts.withDefaults(len(m.Loads()))
+	p := o.Placement()
 	blocked := make(map[string]bool)
-	for stats.Migrations < opts.MaxMigrations {
-		loads := m.Loads()
-		n := len(loads)
-		if n < 2 {
+	for {
+		ring := p.HolderRing() // ascending position == ring order
+		n := len(ring)
+		if n < 2 || stats.Migrations >= 2*n {
 			break
 		}
+		loads := make([]int, n)
 		total := 0
-		for _, l := range loads {
-			total += l.Entries
+		for i, h := range ring {
+			loads[i] = h.Dir.Len()
+			total += loads[i]
 		}
 		if total == 0 {
 			break
 		}
 		mean := float64(total) / float64(n)
 		hot := -1
-		for i, l := range loads {
-			if blocked[l.Addr] || float64(l.Entries) <= opts.Threshold*mean {
+		for i, h := range ring {
+			if blocked[h.Addr] || float64(loads[i]) <= hotThreshold*mean {
 				continue
 			}
-			if hot < 0 || l.Entries > loads[hot].Entries ||
-				(l.Entries == loads[hot].Entries && l.Addr < loads[hot].Addr) {
+			if hot < 0 || loads[i] > loads[hot] || (loads[i] == loads[hot] && h.Addr < ring[hot].Addr) {
 				hot = i
 			}
 		}
 		if hot < 0 {
 			break
 		}
-		h := loads[hot]
-		budgetPred := (h.Entries - loads[(hot-1+n)%n].Entries) / 2
-		budgetSucc := (h.Entries - loads[(hot+1)%n].Entries) / 2
+		pred := (hot - 1 + n) % n
+		budgetPred := (loads[hot] - loads[pred]) / 2
+		budgetSucc := (loads[hot] - loads[(hot+1)%n]) / 2
 		moved := 0
 		var err error
 		if budgetPred > 0 || budgetSucc > 0 {
-			moved, err = m.Shed(h.Addr, budgetPred, budgetSucc)
+			moved, err = shed(o, p.Capacity(), ring[hot], ring[pred], budgetPred, budgetSucc)
 		}
 		if err != nil || moved == 0 {
-			blocked[h.Addr] = true
+			blocked[ring[hot].Addr] = true
 			stats.Blocked++
 			mBlockedHotspots.Inc()
-			opts.Logger.Debug("migration blocked", "node", h.Addr,
-				"entries", h.Entries, "mean", mean, "err", err)
 			continue
 		}
 		stats.Migrations++
 		stats.EntriesMoved += moved
 		mMigrations.Inc()
 		mEntriesMoved.Add(uint64(moved))
-		opts.Logger.Debug("migration", "node", h.Addr, "moved", moved,
-			"entries", h.Entries, "mean", mean)
 	}
 	return stats
+}
+
+// shed plans both shed directions for the hot node — a key-interval prefix
+// to its ring predecessor (the predecessor advances) or a suffix to its ring
+// successor (the node retreats) — under the per-direction entry budgets, and
+// executes the larger viable one. It returns the number of entries actually
+// moved; 0 means the node's key-groups fit neither budget (an indivisible
+// pileup).
+func shed[N any](o Mover[N], capacity uint64, hot, pred replication.Holder, budgetPred, budgetSucc int) (int, error) {
+	groups := hot.Dir.KeyCounts()
+	if len(groups) == 0 {
+		return 0, nil
+	}
+	cw := func(a, b uint64) uint64 { return (b + capacity - a) % capacity }
+	sort.Slice(groups, func(a, b int) bool {
+		return cw(pred.Pos, groups[a].Key) < cw(pred.Pos, groups[b].Key)
+	})
+	fallback := (pred.Pos + 1) % capacity
+	prefMoved, prefBoundary, sufMoved, sufBoundary := shedPlan(
+		groups, hot.Pos, budgetPred, budgetSucc, fallback, fallback != hot.Pos)
+	if prefMoved == 0 && sufMoved == 0 {
+		return 0, nil
+	}
+	mover, boundary, move := hot, sufBoundary, o.Retreat
+	if prefMoved >= sufMoved {
+		mover, boundary, move = pred, prefBoundary, o.Advance
+	}
+	n, ok := o.NodeByAddr(mover.Addr)
+	if !ok {
+		return 0, fmt.Errorf("loadbalance: stale node %s", mover.Addr)
+	}
+	_, moved, err := move(n, boundary)
+	return moved, err
 }
 
 // shedPlan picks the boundary for one node's key-groups under both budgets.
@@ -155,131 +167,4 @@ func shedPlan(groups []directory.KeyCount, ownID uint64, budgetPred, budgetSucc 
 		}
 	}
 	return prefMoved, prefBoundary, sufMoved, sufBoundary
-}
-
-// --- Chord ---
-
-type chordMigrator struct{ r *chord.Ring }
-
-func (m chordMigrator) Loads() []discovery.NodeLoad {
-	nodes := m.r.Nodes() // ascending ID == ring order
-	out := make([]discovery.NodeLoad, len(nodes))
-	for i, n := range nodes {
-		out[i] = discovery.NodeLoad{Addr: n.Addr, Entries: n.Dir.Len()}
-	}
-	return out
-}
-
-func (m chordMigrator) Shed(addr string, budgetPred, budgetSucc int) (int, error) {
-	n, ok := m.r.NodeByAddr(addr)
-	if !ok {
-		return 0, fmt.Errorf("loadbalance: unknown node %s", addr)
-	}
-	nodes := m.r.Nodes()
-	if len(nodes) < 2 {
-		return 0, nil
-	}
-	idx := -1
-	for i, cand := range nodes {
-		if cand == n {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return 0, fmt.Errorf("loadbalance: stale node %s", addr)
-	}
-	pred := nodes[(idx-1+len(nodes))%len(nodes)]
-	groups := n.Dir.KeyCounts()
-	if len(groups) == 0 {
-		return 0, nil
-	}
-	sp := m.r.Space()
-	sort.Slice(groups, func(a, b int) bool {
-		return sp.Clockwise(pred.ID, groups[a].Key) < sp.Clockwise(pred.ID, groups[b].Key)
-	})
-	fallback := sp.Add(pred.ID, 1)
-	prefMoved, prefBoundary, sufMoved, sufBoundary := shedPlan(
-		groups, n.ID, budgetPred, budgetSucc, fallback, fallback != n.ID)
-	switch {
-	case prefMoved == 0 && sufMoved == 0:
-		return 0, nil
-	case prefMoved >= sufMoved:
-		_, moved, err := m.r.Advance(pred, prefBoundary)
-		return moved, err
-	default:
-		_, moved, err := m.r.Retreat(n, sufBoundary)
-		return moved, err
-	}
-}
-
-// RebalanceChord runs one item-migration pass over a chord ring.
-func RebalanceChord(r *chord.Ring, opts Options) discovery.MigrationStats {
-	return runPass(chordMigrator{r: r}, opts)
-}
-
-// --- Cycloid ---
-
-type cycloidMigrator struct{ o *cycloid.Overlay }
-
-func (m cycloidMigrator) Loads() []discovery.NodeLoad {
-	nodes := m.o.Nodes() // ascending position == ring order
-	out := make([]discovery.NodeLoad, len(nodes))
-	for i, n := range nodes {
-		out[i] = discovery.NodeLoad{Addr: n.Addr, Entries: n.Dir.Len()}
-	}
-	return out
-}
-
-func (m cycloidMigrator) Shed(addr string, budgetPred, budgetSucc int) (int, error) {
-	n, ok := m.o.NodeByAddr(addr)
-	if !ok {
-		return 0, fmt.Errorf("loadbalance: unknown node %s", addr)
-	}
-	nodes := m.o.Nodes()
-	if len(nodes) < 2 {
-		return 0, nil
-	}
-	idx := -1
-	for i, cand := range nodes {
-		if cand == n {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return 0, fmt.Errorf("loadbalance: stale node %s", addr)
-	}
-	pred := nodes[(idx-1+len(nodes))%len(nodes)]
-	groups := n.Dir.KeyCounts()
-	if len(groups) == 0 {
-		return 0, nil
-	}
-	ringCap := m.o.Capacity()
-	cw := func(a, b uint64) uint64 { return (b + ringCap - a) % ringCap }
-	sort.Slice(groups, func(a, b int) bool {
-		return cw(pred.Pos, groups[a].Key) < cw(pred.Pos, groups[b].Key)
-	})
-	fallback := (pred.Pos + 1) % ringCap
-	prefMoved, prefBoundary, sufMoved, sufBoundary := shedPlan(
-		groups, n.Pos, budgetPred, budgetSucc, fallback, fallback != n.Pos)
-	switch {
-	case prefMoved == 0 && sufMoved == 0:
-		return 0, nil
-	case prefMoved >= sufMoved:
-		_, moved, err := m.o.Advance(pred, prefBoundary)
-		return moved, err
-	default:
-		_, moved, err := m.o.Retreat(n, sufBoundary)
-		return moved, err
-	}
-}
-
-// RebalanceCycloid runs one item-migration pass over a cycloid overlay.
-// On a complete overlay (every slot populated — the paper's n = d·2^d
-// operating point) no identifier between two ring neighbors is ever free,
-// so every hotspot reports blocked; rebalancing LORM requires a sparse
-// deployment.
-func RebalanceCycloid(o *cycloid.Overlay, opts Options) discovery.MigrationStats {
-	return runPass(cycloidMigrator{o: o}, opts)
 }

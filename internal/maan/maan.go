@@ -17,6 +17,7 @@ import (
 	"log/slog"
 	"math/rand"
 
+	"lorm/internal/capability"
 	"lorm/internal/chord"
 	"lorm/internal/directory"
 	"lorm/internal/discovery"
@@ -43,24 +44,41 @@ type Config struct {
 	FingerRng *rand.Rand
 }
 
-// System is a MAAN deployment: one Chord ring, dual-keyed placement.
+// System is a MAAN deployment: one Chord ring, dual-keyed placement. The
+// embedded capability base supplies the control-plane faces over the ring
+// and both replicators; MAAN overrides only SetReplicas and Replicas.
 type System struct {
+	*capability.Base[*chord.Node]
 	schema *resource.Schema
 	ring   *chord.Ring
 	lph    []hashing.Locality // per-attribute value hash over the full ring
 	fabric *routing.Fabric
 
-	// Replication covers the two indices separately (see replicated.go):
-	// repValue crash-protects the value-keyed half, repAttr hot-key
-	// replicates the per-attribute pools.
+	// MAAN registers every piece twice, and the two copies need different
+	// replication treatment, so each index has its own filtered replicator
+	// over the ring's one Placement (a key's holders are its root plus ring
+	// successors regardless of which index owns it):
+	//
+	//   - The VALUE-keyed copies spread over the whole ring, so a crash
+	//     loses a near-random slice of them. repValue replicates exactly
+	//     this half; it is what SetReplicas configures and what the
+	//     crash-churn experiment exercises.
+	//   - The ATTRIBUTE-keyed copies pool k pieces on one node per attribute
+	//     (Theorem 4.2's concentration). Crash-replicating them too would
+	//     double write traffic for copies the value index already protects,
+	//     so repAttr's base factor stays pinned at 1; it exists for hot-key
+	//     promotion only, because under skewed read traffic the attribute
+	//     pool's single root is MAAN's hottest node.
 	repValue *replication.Replicator
 	repAttr  *replication.Replicator
 }
 
 var (
-	_ discovery.System     = (*System)(nil)
-	_ discovery.Dynamic    = (*System)(nil)
+	_ discovery.Traced     = (*System)(nil)
 	_ discovery.Crashable  = (*System)(nil)
+	_ discovery.NetAware   = (*System)(nil)
+	_ discovery.Replicated = (*System)(nil)
+	_ discovery.Balancer   = (*System)(nil)
 	_ routing.Instrumented = (*System)(nil)
 )
 
@@ -70,14 +88,25 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("maan: config needs a schema")
 	}
 	r := chord.New(chord.Config{Bits: cfg.Bits, SuccListLen: cfg.SuccListLen, Salt: "maan", FingerRng: cfg.FingerRng})
-	s := &System{schema: cfg.Schema, ring: r, fabric: routing.NewFabric("maan")}
+	s := &System{schema: cfg.Schema, ring: r}
 	for _, a := range cfg.Schema.Attributes() {
 		s.lph = append(s.lph, hashing.NewLocalityFrom(r.Space(), a))
 	}
 	s.repValue = replication.NewReplicator(r.Placement(), replication.WithFilter(s.isValueKeyed), replication.WithLogger(cfg.Logger))
 	s.repAttr = replication.NewReplicator(r.Placement(), replication.WithFilter(s.isAttrKeyed), replication.WithLogger(cfg.Logger))
+	s.Base = capability.New("maan", cfg.Schema, capability.Plane[*chord.Node]{
+		Overlay: r, Reps: []*replication.Replicator{s.repValue, s.repAttr}})
+	s.fabric = s.RoutingFabric()
 	return s, nil
 }
+
+// SetReplicas overrides the base, which would set every replicator: the
+// factor configures the value index only, the attribute index stays pinned
+// at 1.
+func (s *System) SetReplicas(r int) error { return s.repValue.SetFactor(r) }
+
+// Replicas returns the configured replication factor of the value index.
+func (s *System) Replicas() int { return s.repValue.Factor() }
 
 // isValueKeyed reports whether an entry is the value-index copy of its
 // piece: stored under ℋ(value) rather than H(attr).
@@ -92,23 +121,11 @@ func (s *System) isAttrKeyed(e directory.Entry) bool {
 	return e.Key == s.attrKey(e.Info.Attr)
 }
 
-// RoutingFabric implements routing.Instrumented.
-func (s *System) RoutingFabric() *routing.Fabric { return s.fabric }
-
 // AddNodes bulk-populates the ring.
 func (s *System) AddNodes(addrs []string) error { return s.ring.AddBulk(addrs) }
 
 // Ring exposes the underlying Chord ring for experiments and tests.
 func (s *System) Ring() *chord.Ring { return s.ring }
-
-// Name implements discovery.System.
-func (s *System) Name() string { return "maan" }
-
-// Schema implements discovery.System.
-func (s *System) Schema() *resource.Schema { return s.schema }
-
-// NodeCount implements discovery.System.
-func (s *System) NodeCount() int { return s.ring.Size() }
 
 // attrKey returns H(attr), the attribute-index key.
 func (s *System) attrKey(attr string) uint64 {
@@ -272,54 +289,4 @@ func (s *System) resolveSub(op *routing.Op, requester string, sub resource.SubQu
 		collect(cur)
 	}
 	return matches, nil
-}
-
-// DirectorySizes implements discovery.System. Sizes include both copies of
-// every piece, reflecting MAAN's doubled information volume.
-func (s *System) DirectorySizes() []int { return s.ring.DirectorySizes() }
-
-// OutlinkCounts implements discovery.System.
-func (s *System) OutlinkCounts() []int { return s.ring.OutlinkCounts() }
-
-// AddNode implements discovery.Dynamic.
-func (s *System) AddNode(addr string) error {
-	_, err := s.ring.Join(addr)
-	return err
-}
-
-// RemoveNode implements discovery.Dynamic.
-func (s *System) RemoveNode(addr string) error {
-	n, ok := s.ring.NodeByAddr(addr)
-	if !ok {
-		return fmt.Errorf("maan: no node with address %q", addr)
-	}
-	return s.ring.Leave(n)
-}
-
-// FailNode implements discovery.Crashable: the node vanishes abruptly.
-// Both index copies of the entries it held are lost (the attribute-keyed
-// and value-keyed copies of one logical piece live on different nodes, so a
-// single crash usually leaves the other copy answerable).
-func (s *System) FailNode(addr string) (lostEntries int, err error) {
-	n, ok := s.ring.NodeByAddr(addr)
-	if !ok {
-		return 0, fmt.Errorf("maan: no node with address %q", addr)
-	}
-	return s.ring.Fail(n)
-}
-
-// NodeAddrs implements discovery.Dynamic.
-func (s *System) NodeAddrs() []string { return s.ring.Addrs() }
-
-// Maintain implements discovery.Dynamic: one stabilization round, followed
-// by replica repair on whichever indices have replicas in play.
-func (s *System) Maintain() {
-	s.ring.Stabilize()
-	s.ring.FixFingers(0)
-	if s.repValue.Active() {
-		s.repValue.Repair()
-	}
-	if s.repAttr.Active() {
-		s.repAttr.Repair()
-	}
 }

@@ -16,8 +16,8 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"sync"
 
+	"lorm/internal/capability"
 	"lorm/internal/chord"
 	"lorm/internal/directory"
 	"lorm/internal/discovery"
@@ -41,24 +41,28 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// System is a Mercury deployment: m parallel Chord hubs.
+// System is a Mercury deployment: m parallel Chord hubs. The embedded
+// capability base runs every control-plane operation hub by hub — a
+// physical node joins, leaves and crashes in all hubs at once, and each hub
+// replicates and rebalances inside its own ring, so a node's replica
+// neighbors differ per attribute exactly as its routing neighbors do.
+// Mercury overrides only the samples that must aggregate a physical node's
+// per-hub state (DirectorySizes, OutlinkCounts, DirectoryLoads, NodeAddrs).
 type System struct {
+	*capability.Base[*chord.Node]
 	schema *resource.Schema
-	bits   uint
 	fabric *routing.Fabric
-
-	mu     sync.RWMutex
 	hubs   []*chord.Ring             // parallel to schema order
 	lph    []hashing.Locality        // per-attribute value hash
 	reps   []*replication.Replicator // per-hub replica management
-	byAddr []map[string]*chord.Node  // per-hub address index
-	addrs  map[string]bool           // physical membership
 }
 
 var (
-	_ discovery.System     = (*System)(nil)
-	_ discovery.Dynamic    = (*System)(nil)
+	_ discovery.Traced     = (*System)(nil)
 	_ discovery.Crashable  = (*System)(nil)
+	_ discovery.NetAware   = (*System)(nil)
+	_ discovery.Replicated = (*System)(nil)
+	_ discovery.Balancer   = (*System)(nil)
 	_ routing.Instrumented = (*System)(nil)
 )
 
@@ -70,61 +74,43 @@ func New(cfg Config) (*System, error) {
 	if cfg.Bits == 0 {
 		cfg.Bits = 20
 	}
-	s := &System{
-		schema: cfg.Schema,
-		bits:   cfg.Bits,
-		fabric: routing.NewFabric("mercury"),
-		addrs:  make(map[string]bool),
-	}
+	s := &System{schema: cfg.Schema}
+	var planes []capability.Plane[*chord.Node]
 	for _, a := range cfg.Schema.Attributes() {
 		hub := chord.New(chord.Config{Bits: cfg.Bits, SuccListLen: cfg.SuccListLen, Salt: "hub:" + a.Name})
+		rep := replication.NewReplicator(hub.Placement(), replication.WithLogger(cfg.Logger))
 		s.hubs = append(s.hubs, hub)
 		s.lph = append(s.lph, hashing.NewLocalityFrom(hub.Space(), a))
-		s.reps = append(s.reps, replication.NewReplicator(hub.Placement(), replication.WithLogger(cfg.Logger)))
-		s.byAddr = append(s.byAddr, make(map[string]*chord.Node))
+		s.reps = append(s.reps, rep)
+		planes = append(planes, capability.Plane[*chord.Node]{Overlay: hub, Reps: []*replication.Replicator{rep}})
 	}
+	s.Base = capability.New("mercury", cfg.Schema, planes...)
+	s.fabric = s.RoutingFabric()
 	return s, nil
 }
 
 // AddNodes bulk-populates every hub with the given physical addresses.
 func (s *System) AddNodes(addrs []string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	live := make(map[string]bool, len(addrs))
+	for _, addr := range s.hubs[0].Addrs() {
+		live[addr] = true
+	}
 	for _, addr := range addrs {
-		if s.addrs[addr] {
+		if live[addr] {
 			return fmt.Errorf("mercury: duplicate address %q", addr)
 		}
-		s.addrs[addr] = true
+		live[addr] = true
 	}
-	for h, hub := range s.hubs {
+	for _, hub := range s.hubs {
 		if err := hub.AddBulk(addrs); err != nil {
 			return err
-		}
-		for _, n := range hub.Nodes() {
-			s.byAddr[h][n.Addr] = n
 		}
 	}
 	return nil
 }
 
-// RoutingFabric implements routing.Instrumented.
-func (s *System) RoutingFabric() *routing.Fabric { return s.fabric }
-
 // hubOf returns the hub index for an attribute, or -1.
 func (s *System) hubOf(attr string) int { return s.schema.Index(attr) }
-
-// Name implements discovery.System.
-func (s *System) Name() string { return "mercury" }
-
-// Schema implements discovery.System.
-func (s *System) Schema() *resource.Schema { return s.schema }
-
-// NodeCount implements discovery.System (physical nodes, not hub slots).
-func (s *System) NodeCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.addrs)
-}
 
 // Register implements discovery.System: one insert, into the attribute's
 // hub, keyed by the locality-preserving hash of the value.
@@ -261,18 +247,42 @@ func (s *System) resolveSub(op *routing.Op, requester string, sub resource.SubQu
 	return matches, nil
 }
 
-// DirectorySizes implements discovery.System: a physical node's directory
-// is the union of its per-hub directories.
-func (s *System) DirectorySizes() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	totals := make(map[string]int, len(s.addrs))
-	for addr := range s.addrs {
-		totals[addr] = 0
+// DirectoryLoads overrides the base: a physical node's load is the union
+// of its per-hub directories, in sorted address order.
+func (s *System) DirectoryLoads() []discovery.NodeLoad {
+	totals := make(map[string]int)
+	for _, hub := range s.hubs {
+		for _, n := range hub.Nodes() {
+			totals[n.Addr] += n.Dir.Len()
+		}
 	}
-	for h := range s.hubs {
-		for addr, n := range s.byAddr[h] {
-			totals[addr] += n.Dir.Len()
+	out := make([]discovery.NodeLoad, 0, len(totals))
+	for addr, entries := range totals {
+		out = append(out, discovery.NodeLoad{Addr: addr, Entries: entries})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
+}
+
+// DirectorySizes overrides the base with the same per-physical-node
+// aggregation as DirectoryLoads.
+func (s *System) DirectorySizes() []int {
+	loads := s.DirectoryLoads()
+	out := make([]int, len(loads))
+	for i, l := range loads {
+		out[i] = l.Entries
+	}
+	return out
+}
+
+// OutlinkCounts overrides the base: a physical node maintains the union of
+// its per-hub routing tables — the m·log n structure overhead of Theorem
+// 4.1.
+func (s *System) OutlinkCounts() []int {
+	totals := make(map[string]int)
+	for _, hub := range s.hubs {
+		for _, n := range hub.Nodes() {
+			totals[n.Addr] += hub.OutlinkCount(n)
 		}
 	}
 	out := make([]int, 0, len(totals))
@@ -282,121 +292,12 @@ func (s *System) DirectorySizes() []int {
 	return out
 }
 
-// OutlinkCounts implements discovery.System: a physical node maintains the
-// union of its per-hub routing tables — the m·log n structure overhead of
-// Theorem 4.1.
-func (s *System) OutlinkCounts() []int {
-	s.mu.RLock()
-	hubs := append([]*chord.Ring(nil), s.hubs...)
-	indexes := append([]map[string]*chord.Node(nil), s.byAddr...)
-	addrs := make([]string, 0, len(s.addrs))
-	for a := range s.addrs {
-		addrs = append(addrs, a)
-	}
-	s.mu.RUnlock()
-
-	out := make([]int, len(addrs))
-	for i, addr := range addrs {
-		total := 0
-		for h, hub := range hubs {
-			if n, ok := indexes[h][addr]; ok {
-				total += hub.OutlinkCount(n)
-			}
-		}
-		out[i] = total
-	}
-	return out
-}
-
-// AddNode implements discovery.Dynamic: the newcomer joins every hub.
-func (s *System) AddNode(addr string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.addrs[addr] {
-		return fmt.Errorf("mercury: duplicate address %q", addr)
-	}
-	for h, hub := range s.hubs {
-		n, err := hub.Join(addr)
-		if err != nil {
-			return err
-		}
-		s.byAddr[h][addr] = n
-	}
-	s.addrs[addr] = true
-	return nil
-}
-
-// RemoveNode implements discovery.Dynamic: graceful departure from every hub.
-func (s *System) RemoveNode(addr string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.addrs[addr] {
-		return fmt.Errorf("mercury: no node with address %q", addr)
-	}
-	for h, hub := range s.hubs {
-		if n, ok := s.byAddr[h][addr]; ok {
-			if err := hub.Leave(n); err != nil {
-				return err
-			}
-			delete(s.byAddr[h], addr)
-		}
-	}
-	delete(s.addrs, addr)
-	return nil
-}
-
-// FailNode implements discovery.Crashable: the physical node vanishes from
-// every hub at once — a machine crash takes all of its per-attribute
-// directories with it. Lost entries are summed across hubs.
-func (s *System) FailNode(addr string) (lostEntries int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.addrs[addr] {
-		return 0, fmt.Errorf("mercury: no node with address %q", addr)
-	}
-	for h, hub := range s.hubs {
-		n, ok := s.byAddr[h][addr]
-		if !ok {
-			continue
-		}
-		lost, err := hub.Fail(n)
-		if err != nil {
-			return lostEntries, err
-		}
-		lostEntries += lost
-		delete(s.byAddr[h], addr)
-	}
-	delete(s.addrs, addr)
-	return lostEntries, nil
-}
-
-// NodeAddrs implements discovery.Dynamic. The slice is sorted so victim
-// selection in churn experiments is deterministic.
+// NodeAddrs overrides the base, whose first-hub ring order would make churn
+// victim selection depend on hub 0's hash: physical addresses, sorted.
 func (s *System) NodeAddrs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.addrs))
-	for a := range s.addrs {
-		out = append(out, a)
-	}
+	out := s.hubs[0].Addrs()
 	sort.Strings(out)
 	return out
-}
-
-// Maintain implements discovery.Dynamic: one stabilization round per hub,
-// followed by a replica-repair pass on hubs with replicas in play.
-func (s *System) Maintain() {
-	s.mu.RLock()
-	hubs := append([]*chord.Ring(nil), s.hubs...)
-	reps := append([]*replication.Replicator(nil), s.reps...)
-	s.mu.RUnlock()
-	for h, hub := range hubs {
-		hub.Stabilize()
-		hub.FixFingers(0)
-		if reps[h].Active() {
-			reps[h].Repair()
-		}
-	}
 }
 
 // Hub exposes one attribute's hub ring, for experiments and tests.

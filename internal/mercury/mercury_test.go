@@ -133,8 +133,8 @@ func TestDuplicateAddressRejected(t *testing.T) {
 	if err := s.AddNodes([]string{"node-0001"}); err == nil {
 		t.Fatal("duplicate bulk address should error")
 	}
-	if err := s.AddNode("node-0001"); err == nil {
-		t.Fatal("duplicate join should error")
+	if err := s.AddNodes([]string{"fresh", "fresh"}); err == nil {
+		t.Fatal("address repeated within one bulk call should error")
 	}
 }
 

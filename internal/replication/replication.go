@@ -1,5 +1,5 @@
 // Package replication is the shared successor-set replication layer the
-// four discovery systems build on. It owns the placement contract (which
+// five discovery systems build on. It owns the placement contract (which
 // nodes hold copies of an entry), the replica placement recorded on the
 // routing fabric, the churn Repair pass that restores the holder invariant,
 // hot-key promotion driven by traffic-ledger hotspot reports, and the

@@ -15,6 +15,7 @@ import (
 	"log/slog"
 	"math/rand"
 
+	"lorm/internal/capability"
 	"lorm/internal/chord"
 	"lorm/internal/directory"
 	"lorm/internal/discovery"
@@ -42,7 +43,14 @@ type Config struct {
 }
 
 // System is a SWORD deployment: one Chord ring, attribute-keyed placement.
+// The embedded capability base supplies the control-plane faces over the
+// ring; nothing in them is SWORD-specific. Replication copies whole
+// attribute pools (the placement unit is the single key H(attr)), so a
+// replica answers any range exactly as the root would; rebalancing cannot
+// split a pool, so the planner reports the attribute roots as blocked
+// hotspots — the paper's "centralized" verdict, measured.
 type System struct {
+	*capability.Base[*chord.Node]
 	schema *resource.Schema
 	ring   *chord.Ring
 	rep    *replication.Replicator
@@ -50,9 +58,11 @@ type System struct {
 }
 
 var (
-	_ discovery.System     = (*System)(nil)
-	_ discovery.Dynamic    = (*System)(nil)
+	_ discovery.Traced     = (*System)(nil)
 	_ discovery.Crashable  = (*System)(nil)
+	_ discovery.NetAware   = (*System)(nil)
+	_ discovery.Replicated = (*System)(nil)
+	_ discovery.Balancer   = (*System)(nil)
 	_ routing.Instrumented = (*System)(nil)
 )
 
@@ -62,31 +72,23 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("sword: config needs a schema")
 	}
 	r := chord.New(chord.Config{Bits: cfg.Bits, SuccListLen: cfg.SuccListLen, Salt: "sword", FingerRng: cfg.FingerRng})
+	rep := replication.NewReplicator(r.Placement(), replication.WithLogger(cfg.Logger))
+	base := capability.New("sword", cfg.Schema, capability.Plane[*chord.Node]{
+		Overlay: r, Reps: []*replication.Replicator{rep}})
 	return &System{
+		Base:   base,
 		schema: cfg.Schema,
 		ring:   r,
-		rep:    replication.NewReplicator(r.Placement(), replication.WithLogger(cfg.Logger)),
-		fabric: routing.NewFabric("sword"),
+		rep:    rep,
+		fabric: base.RoutingFabric(),
 	}, nil
 }
-
-// RoutingFabric implements routing.Instrumented.
-func (s *System) RoutingFabric() *routing.Fabric { return s.fabric }
 
 // AddNodes bulk-populates the ring.
 func (s *System) AddNodes(addrs []string) error { return s.ring.AddBulk(addrs) }
 
 // Ring exposes the underlying Chord ring for experiments and tests.
 func (s *System) Ring() *chord.Ring { return s.ring }
-
-// Name implements discovery.System.
-func (s *System) Name() string { return "sword" }
-
-// Schema implements discovery.System.
-func (s *System) Schema() *resource.Schema { return s.schema }
-
-// NodeCount implements discovery.System.
-func (s *System) NodeCount() int { return s.ring.Size() }
 
 // attrKey returns the ring key of an attribute: H(attr).
 func (s *System) attrKey(attr string) uint64 {
@@ -170,48 +172,4 @@ func (s *System) DiscoverTraced(q resource.Query, tc discovery.TraceContext) (*d
 	}
 	res.Cost = op.Cost()
 	return res, nil
-}
-
-// DirectorySizes implements discovery.System.
-func (s *System) DirectorySizes() []int { return s.ring.DirectorySizes() }
-
-// OutlinkCounts implements discovery.System.
-func (s *System) OutlinkCounts() []int { return s.ring.OutlinkCounts() }
-
-// AddNode implements discovery.Dynamic.
-func (s *System) AddNode(addr string) error {
-	_, err := s.ring.Join(addr)
-	return err
-}
-
-// RemoveNode implements discovery.Dynamic.
-func (s *System) RemoveNode(addr string) error {
-	n, ok := s.ring.NodeByAddr(addr)
-	if !ok {
-		return fmt.Errorf("sword: no node with address %q", addr)
-	}
-	return s.ring.Leave(n)
-}
-
-// FailNode implements discovery.Crashable: the node vanishes abruptly with
-// its pooled attribute directories — no handover, no repair.
-func (s *System) FailNode(addr string) (lostEntries int, err error) {
-	n, ok := s.ring.NodeByAddr(addr)
-	if !ok {
-		return 0, fmt.Errorf("sword: no node with address %q", addr)
-	}
-	return s.ring.Fail(n)
-}
-
-// NodeAddrs implements discovery.Dynamic.
-func (s *System) NodeAddrs() []string { return s.ring.Addrs() }
-
-// Maintain implements discovery.Dynamic: one stabilization round, followed
-// by a replica-repair pass when any replicas are in play.
-func (s *System) Maintain() {
-	s.ring.Stabilize()
-	s.ring.FixFingers(0)
-	if s.rep.Active() {
-		s.rep.Repair()
-	}
 }

@@ -104,29 +104,3 @@ func TestDiscoverValidates(t *testing.T) {
 		t.Fatal("empty query should error")
 	}
 }
-
-func TestMetadataAndDynamics(t *testing.T) {
-	s := build(t, 20)
-	if s.Name() != "sword" || s.NodeCount() != 20 || s.Schema().Len() != 2 {
-		t.Fatal("metadata wrong")
-	}
-	if s.Ring() == nil {
-		t.Fatal("Ring accessor nil")
-	}
-	if err := s.AddNode("newbie"); err != nil {
-		t.Fatal(err)
-	}
-	if s.NodeCount() != 21 {
-		t.Fatalf("NodeCount after join = %d", s.NodeCount())
-	}
-	if err := s.RemoveNode("newbie"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveNode("ghost"); err == nil {
-		t.Fatal("removing unknown node should error")
-	}
-	s.Maintain()
-	if got := len(s.NodeAddrs()); got != 20 {
-		t.Fatalf("NodeAddrs = %d entries, want 20", got)
-	}
-}

@@ -31,7 +31,7 @@ var registry = []SystemSpec{
 	{
 		Name: "lorm",
 		Build: func(d *Deployment, schema *resource.Schema, addrs []string, opts Options) (discovery.System, error) {
-			l, err := core.New(core.Config{D: opts.D, Schema: schema})
+			l, err := core.New(core.Config{D: opts.D, Schema: schema, Logger: opts.Logger})
 			if err != nil {
 				return nil, err
 			}
@@ -50,7 +50,7 @@ var registry = []SystemSpec{
 		Name:    "mercury",
 		Skipped: func(opts Options) bool { return opts.SkipMercury },
 		Build: func(d *Deployment, schema *resource.Schema, addrs []string, opts Options) (discovery.System, error) {
-			m, err := mercury.New(mercury.Config{Bits: opts.Bits, Schema: schema})
+			m, err := mercury.New(mercury.Config{Bits: opts.Bits, Schema: schema, Logger: opts.Logger})
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +64,7 @@ var registry = []SystemSpec{
 	{
 		Name: "sword",
 		Build: func(d *Deployment, schema *resource.Schema, addrs []string, opts Options) (discovery.System, error) {
-			s, err := sword.New(sword.Config{Bits: opts.Bits, Schema: schema, FingerRng: opts.FingerRng})
+			s, err := sword.New(sword.Config{Bits: opts.Bits, Schema: schema, Logger: opts.Logger, FingerRng: opts.FingerRng})
 			if err != nil {
 				return nil, err
 			}
@@ -78,7 +78,7 @@ var registry = []SystemSpec{
 	{
 		Name: "maan",
 		Build: func(d *Deployment, schema *resource.Schema, addrs []string, opts Options) (discovery.System, error) {
-			a, err := maan.New(maan.Config{Bits: opts.Bits, Schema: schema, FingerRng: opts.FingerRng})
+			a, err := maan.New(maan.Config{Bits: opts.Bits, Schema: schema, Logger: opts.Logger, FingerRng: opts.FingerRng})
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +92,7 @@ var registry = []SystemSpec{
 	{
 		Name: "art",
 		Build: func(d *Deployment, schema *resource.Schema, addrs []string, opts Options) (discovery.System, error) {
-			t, err := art.New(art.Config{Bits: opts.Bits, Schema: schema, FingerRng: opts.FingerRng})
+			t, err := art.New(art.Config{Bits: opts.Bits, Schema: schema, Logger: opts.Logger, FingerRng: opts.FingerRng})
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ package systemtest
 
 import (
 	"fmt"
+	"log/slog"
 	"math/rand"
 
 	"lorm/internal/art"
@@ -62,6 +63,10 @@ type Options struct {
 	// selection, each entry drawn uniformly from its finger interval
 	// instead of taking the interval's first successor.
 	FingerRng *rand.Rand
+	// Logger, when non-nil, receives every system's structured replication
+	// lifecycle events at Debug level; lormnode sets it, the experiments
+	// leave it nil.
+	Logger *slog.Logger
 }
 
 // Build constructs every registered (non-skipped) system over n shared node

@@ -112,67 +112,6 @@ func TestEmptyBatchRejected(t *testing.T) {
 	}
 }
 
-// Against a pre-batch gateway — one that answers batch verbs with the
-// "unknown op" server error — the client must transparently fall back to
-// per-item singles and still return one result per item.
-func TestBatchFallbackToSingles(t *testing.T) {
-	var singles int
-	addr, _ := fakeGateway(t, func(conn net.Conn, n int) {
-		for {
-			var req Request
-			if err := readFrame(conn, &req); err != nil {
-				return
-			}
-			resp := &Response{Version: Version, ID: req.ID}
-			switch req.Op {
-			case OpRegister:
-				singles++
-				resp.OK = true
-				resp.Cost = discovery.Cost{Hops: 1, Messages: 1}
-			case OpDiscover:
-				singles++
-				resp.OK = true
-				resp.Owners = []string{"owner-legacy"}
-			default:
-				// A seed-era gateway's exact rejection text.
-				resp.Error = fmt.Sprintf("unknown op %q", req.Op)
-			}
-			if err := writeFrame(conn, resp); err != nil {
-				return
-			}
-		}
-	})
-	cli, err := DialOptions(addr, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	results, err := cli.RegisterBatch([]resource.Info{
-		{Attr: "cpu", Value: 500, Owner: "owner-a"},
-		{Attr: "cpu", Value: 700, Owner: "owner-b"},
-	})
-	if err != nil {
-		t.Fatalf("fallback register batch: %v", err)
-	}
-	if len(results) != 2 || !results[0].OK || !results[1].OK {
-		t.Fatalf("fallback register results: %+v", results)
-	}
-
-	qres, err := cli.DiscoverBatch([]BatchQuery{
-		{Subs: []resource.SubQuery{{Attr: "cpu", Low: 0, High: 1000}}, Requester: "req-a"},
-	})
-	if err != nil {
-		t.Fatalf("fallback discover batch: %v", err)
-	}
-	if len(qres) != 1 || !qres[0].OK || len(qres[0].Owners) != 1 {
-		t.Fatalf("fallback discover results: %+v", qres)
-	}
-	if singles != 3 {
-		t.Fatalf("legacy gateway served %d single verbs, want 3 (2 registers + 1 discover)", singles)
-	}
-}
-
 // A batch frame carries one trace context applied to every item: the
 // traced batch verbs must succeed end-to-end against a gateway whose
 // system joins the caller's span per item.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -304,8 +303,7 @@ func (c *Client) Stats() (Stats, error) {
 }
 
 // RegisterBatch announces many pieces in one frame, amortizing codec and
-// syscall cost; items fail independently in the returned results. Against
-// a pre-batch gateway it transparently falls back to per-item registers.
+// syscall cost; items fail independently in the returned results.
 func (c *Client) RegisterBatch(infos []resource.Info) ([]BatchResult, error) {
 	return c.RegisterBatchTraced(infos, discovery.TraceContext{})
 }
@@ -317,17 +315,6 @@ func (c *Client) RegisterBatchTraced(infos []resource.Info, tc discovery.TraceCo
 		return nil, fmt.Errorf("transport: empty register batch")
 	}
 	resp, err := c.call(&Request{Op: OpRegisterBatch, Infos: infos, Trace: wireTrace(tc)})
-	if isUnknownOp(err) {
-		results := make([]BatchResult, len(infos))
-		for i, info := range infos {
-			cost, err := c.RegisterTraced(info, tc)
-			results[i] = singleResult(cost, nil, nil, err)
-			if err != nil && !isServerError(err) {
-				return nil, err // transport failure mid-fallback: give up
-			}
-		}
-		return results, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -335,8 +322,7 @@ func (c *Client) RegisterBatchTraced(infos []resource.Info, tc discovery.TraceCo
 }
 
 // DiscoverBatch resolves many multi-attribute queries in one frame; items
-// fail independently in the returned results. Against a pre-batch gateway
-// it transparently falls back to per-item discovers.
+// fail independently in the returned results.
 func (c *Client) DiscoverBatch(queries []BatchQuery) ([]BatchResult, error) {
 	return c.DiscoverBatchTraced(queries, discovery.TraceContext{})
 }
@@ -347,17 +333,6 @@ func (c *Client) DiscoverBatchTraced(queries []BatchQuery, tc discovery.TraceCon
 		return nil, fmt.Errorf("transport: empty discover batch")
 	}
 	resp, err := c.call(&Request{Op: OpDiscoverBatch, Queries: queries, Trace: wireTrace(tc)})
-	if isUnknownOp(err) {
-		results := make([]BatchResult, len(queries))
-		for i, q := range queries {
-			owners, matches, cost, err := c.DiscoverTraced(q.Subs, q.Requester, tc)
-			results[i] = singleResult(cost, owners, matches, err)
-			if err != nil && !isServerError(err) {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -371,28 +346,6 @@ func batchResults(resp *Response, want int) ([]BatchResult, error) {
 		return nil, fmt.Errorf("transport: batch response has %d results for %d items", len(resp.Results), want)
 	}
 	return resp.Results, nil
-}
-
-// singleResult boxes one fallback call's outcome as a batch item.
-func singleResult(cost discovery.Cost, owners []string, matches []resource.Info, err error) BatchResult {
-	if err != nil {
-		return BatchResult{Error: err.Error()}
-	}
-	return BatchResult{OK: true, Cost: cost, Owners: owners, Matches: matches}
-}
-
-// isUnknownOp detects the definitive server-side rejection an old gateway
-// gives a batch verb it does not know, the signal to fall back to singles.
-func isUnknownOp(err error) bool {
-	var se *serverError
-	return errors.As(err, &se) && strings.Contains(se.msg, "unknown op")
-}
-
-// isServerError reports whether err is an application-level failure (the
-// connection stayed healthy; per-item fallback can continue).
-func isServerError(err error) bool {
-	var se *serverError
-	return errors.As(err, &se)
 }
 
 // AddNode joins a new node into the gateway's deployment.

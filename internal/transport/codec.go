@@ -35,10 +35,7 @@ type Op string
 
 // Remote operations. The batch verbs amortize codec and syscall cost: one
 // frame carries many registers or discovers, dispatched server-side into
-// the same discovery.System calls as their singular forms. They are
-// version-tolerant additions — the new Request/Response fields are
-// omitempty, so old peers ignore them, and a new client talking to an old
-// server gets a clean "unknown op" error it can fall back from.
+// the same discovery.System calls as their singular forms.
 const (
 	OpPing          Op = "ping"
 	OpRegister      Op = "register"

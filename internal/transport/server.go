@@ -35,10 +35,10 @@ var (
 var serverConnConcurrency = 32
 
 // Server fronts a discovery.System on a TCP listener. Each connection is
-// served by its own goroutine; requests on one connection are handled
-// sequentially (the protocol is request/response), while separate
-// connections proceed concurrently — the System implementations are
-// concurrency-safe by construction.
+// read by its own goroutine, which dispatches up to serverConnConcurrency
+// requests at once (responses are matched by ID and may be written out of
+// order); separate connections proceed concurrently too — the System
+// implementations are concurrency-safe by construction.
 type Server struct {
 	sys discovery.System
 	ln  net.Listener
