@@ -3,7 +3,7 @@
 // Starts a LORM gateway on a loopback TCP port (the same server that
 // cmd/lormnode runs), then drives it from three concurrent clients: two
 // provider sites streaming announcements and one requester resolving
-// multi-attribute range queries — all through the length-prefixed JSON
+// multi-attribute range queries — all through the length-prefixed binary
 // wire protocol of internal/transport.
 //
 //	go run ./examples/tcpcluster

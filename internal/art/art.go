@@ -202,10 +202,10 @@ func (s *System) Register(info resource.Info) (discovery.Cost, error) {
 // RegisterTraced implements discovery.Traced: Register parented under the
 // caller's trace context.
 func (s *System) RegisterTraced(info resource.Info, tc discovery.TraceContext) (cost discovery.Cost, err error) {
-	idx := s.schema.Index(info.Attr)
-	if idx < 0 {
-		return cost, fmt.Errorf("art: unknown attribute %q", info.Attr)
+	if err := info.Validate(s.schema); err != nil {
+		return cost, err
 	}
+	idx := s.schema.Index(info.Attr)
 	from, err := s.ring.NodeNear(info.Owner)
 	if err != nil {
 		return cost, err

@@ -56,11 +56,11 @@ type Config struct {
 // path.
 type System struct {
 	*capability.Base[*cycloid.Node]
-	schema    *resource.Schema
-	overlay   *cycloid.Overlay
-	cubeSpace ring.Space // d-bit space: consistent hash of attribute → cluster
-	rep       *replication.Replicator
-	fabric    *routing.Fabric
+	schema   *resource.Schema
+	overlay  *cycloid.Overlay
+	clusters []uint64 // by schema index: H(attr) in the d-bit cube space, the attribute's cluster
+	rep      *replication.Replicator
+	fabric   *routing.Fabric
 }
 
 var (
@@ -86,12 +86,12 @@ func New(cfg Config) (*System, error) {
 	base := capability.New("lorm", cfg.Schema, capability.Plane[*cycloid.Node]{
 		Overlay: ov, Reps: []*replication.Replicator{rep}})
 	return &System{
-		Base:      base,
-		schema:    cfg.Schema,
-		overlay:   ov,
-		cubeSpace: ring.NewSpace(uint(cfg.D)),
-		rep:       rep,
-		fabric:    base.RoutingFabric(),
+		Base:     base,
+		schema:   cfg.Schema,
+		overlay:  ov,
+		clusters: hashing.AttributeKeys(ring.NewSpace(uint(cfg.D)), cfg.Schema),
+		rep:      rep,
+		fabric:   base.RoutingFabric(),
 	}, nil
 }
 
@@ -105,11 +105,9 @@ func (s *System) PopulateComplete() error { return s.overlay.AddComplete() }
 // Overlay exposes the underlying Cycloid for experiments and diagnostics.
 func (s *System) Overlay() *cycloid.Overlay { return s.overlay }
 
-// clusterOf returns the cubical index H(attr) — the attribute's home
-// cluster.
-func (s *System) clusterOf(attr string) uint64 {
-	return hashing.Consistent(s.cubeSpace, attr)
-}
+// clusterOf returns the cubical index H(attr) — the home cluster of a
+// schema attribute.
+func (s *System) clusterOf(attr string) uint64 { return s.clusters[s.schema.Index(attr)] }
 
 // cyclicOf returns the locality-preserving hash ℋ(value) quantized onto
 // the cyclic index space [0, d): monotone in the value (so ranges map to
@@ -143,6 +141,9 @@ func (s *System) Register(info resource.Info) (discovery.Cost, error) {
 // RegisterTraced implements discovery.Traced: Register parented under the
 // caller's trace context.
 func (s *System) RegisterTraced(info resource.Info, tc discovery.TraceContext) (cost discovery.Cost, err error) {
+	if err := info.Validate(s.schema); err != nil {
+		return cost, err
+	}
 	key, err := s.RescID(info.Attr, info.Value)
 	if err != nil {
 		return cost, err

@@ -2,8 +2,11 @@ package discovery
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"lorm/internal/resource"
@@ -112,6 +115,38 @@ func TestRunSubsPropagatesError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
+// goroutineID reads the running goroutine's number off its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// The last sub-query runs on the caller's goroutine and the others each on
+// their own, so a one-attribute query spawns nothing.
+func TestRunSubsRunsLastSubOnCaller(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		var q resource.Query
+		for i := 0; i < n; i++ {
+			q.Subs = append(q.Subs, resource.SubQuery{Attr: fmt.Sprint("a", i)})
+		}
+		caller := goroutineID()
+		var onCaller atomic.Int32
+		if _, err := RunSubs(q, func(sub resource.SubQuery) ([]resource.Info, error) {
+			if same := goroutineID() == caller; same {
+				onCaller.Add(1)
+			} else if sub == q.Subs[n-1] {
+				return nil, errors.New("the last sub-query ran on a goroutine of its own")
+			}
+			return nil, nil
+		}); err != nil {
+			t.Error(err)
+		}
+		if got := onCaller.Load(); got != 1 {
+			t.Errorf("%d of %d sub-queries ran on the caller's goroutine, want 1", got, n)
+		}
 	}
 }
 

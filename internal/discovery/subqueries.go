@@ -4,7 +4,7 @@ import (
 	"lorm/internal/resource"
 )
 
-// RunSubs resolves a multi-attribute query by executing each sub-query
+// RunSubs resolves a multi-attribute query by executing its sub-queries
 // concurrently — the paper's "multi-attribute query is composed of a set
 // of sub-queries on each attribute, which are processed in parallel" — and
 // merging the per-attribute matches. The first error aborts the query.
@@ -23,11 +23,17 @@ func RunSubs(q resource.Query, fn func(resource.SubQuery) ([]resource.Info, erro
 		err     error
 	}
 	ch := make(chan subResult, len(q.Subs))
-	for _, sub := range q.Subs {
-		go func(sub resource.SubQuery) {
-			matches, err := fn(sub)
-			ch <- subResult{attr: sub.Attr, matches: matches, err: err}
-		}(sub)
+	run := func(sub resource.SubQuery) {
+		matches, err := fn(sub)
+		ch <- subResult{attr: sub.Attr, matches: matches, err: err}
+	}
+	// The last sub-query runs here: the caller would only wait, and a
+	// one-attribute query spawns nothing.
+	if last := len(q.Subs) - 1; last >= 0 {
+		for _, sub := range q.Subs[:last] {
+			go run(sub)
+		}
+		run(q.Subs[last])
 	}
 	res := &Result{PerAttr: make(map[string][]resource.Info, len(q.Subs))}
 	var firstErr error

@@ -28,6 +28,17 @@ func Consistent(s ring.Space, key string) uint64 {
 	return s.Fold(binary.BigEndian.Uint64(sum[:8]))
 }
 
+// AttributeKeys returns H(name) for every attribute of a schema, by schema
+// index. A schema never changes, so a system hashes its attributes once, at
+// construction, instead of on every sub-query.
+func AttributeKeys(s ring.Space, schema *resource.Schema) []uint64 {
+	keys := make([]uint64, schema.Len())
+	for i, a := range schema.Attributes() {
+		keys[i] = Consistent(s, a.Name)
+	}
+	return keys
+}
+
 // ConsistentN derives the i-th independent hash of key, used when one
 // physical entity needs distinct identifiers in several hash spaces (for
 // example a node joining every Mercury hub).

@@ -49,10 +49,11 @@ type Config struct {
 // and both replicators; MAAN overrides only SetReplicas and Replicas.
 type System struct {
 	*capability.Base[*chord.Node]
-	schema *resource.Schema
-	ring   *chord.Ring
-	lph    []hashing.Locality // per-attribute value hash over the full ring
-	fabric *routing.Fabric
+	schema   *resource.Schema
+	ring     *chord.Ring
+	lph      []hashing.Locality // per-attribute value hash over the full ring
+	attrKeys []uint64           // per-attribute H(attr), the attribute-index key
+	fabric   *routing.Fabric
 
 	// MAAN registers every piece twice, and the two copies need different
 	// replication treatment, so each index has its own filtered replicator
@@ -88,7 +89,7 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("maan: config needs a schema")
 	}
 	r := chord.New(chord.Config{Bits: cfg.Bits, SuccListLen: cfg.SuccListLen, Salt: "maan", FingerRng: cfg.FingerRng})
-	s := &System{schema: cfg.Schema, ring: r}
+	s := &System{schema: cfg.Schema, ring: r, attrKeys: hashing.AttributeKeys(r.Space(), cfg.Schema)}
 	for _, a := range cfg.Schema.Attributes() {
 		s.lph = append(s.lph, hashing.NewLocalityFrom(r.Space(), a))
 	}
@@ -118,7 +119,8 @@ func (s *System) isValueKeyed(e directory.Entry) bool {
 // isAttrKeyed reports whether an entry is the attribute-index copy of its
 // piece: stored under H(attr).
 func (s *System) isAttrKeyed(e directory.Entry) bool {
-	return e.Key == s.attrKey(e.Info.Attr)
+	idx := s.schema.Index(e.Info.Attr)
+	return idx >= 0 && e.Key == s.attrKeys[idx]
 }
 
 // AddNodes bulk-populates the ring.
@@ -127,10 +129,8 @@ func (s *System) AddNodes(addrs []string) error { return s.ring.AddBulk(addrs) }
 // Ring exposes the underlying Chord ring for experiments and tests.
 func (s *System) Ring() *chord.Ring { return s.ring }
 
-// attrKey returns H(attr), the attribute-index key.
-func (s *System) attrKey(attr string) uint64 {
-	return hashing.Consistent(s.ring.Space(), attr)
-}
+// attrKey returns H(attr), the attribute-index key of a schema attribute.
+func (s *System) attrKey(attr string) uint64 { return s.attrKeys[s.schema.Index(attr)] }
 
 // valueKey returns ℋ(value) for the attribute, the value-index key.
 func (s *System) valueKey(idx int, v float64) uint64 {
@@ -146,10 +146,10 @@ func (s *System) Register(info resource.Info) (discovery.Cost, error) {
 // RegisterTraced implements discovery.Traced: Register parented under the
 // caller's trace context.
 func (s *System) RegisterTraced(info resource.Info, tc discovery.TraceContext) (cost discovery.Cost, err error) {
-	idx := s.schema.Index(info.Attr)
-	if idx < 0 {
-		return cost, fmt.Errorf("maan: unknown attribute %q", info.Attr)
+	if err := info.Validate(s.schema); err != nil {
+		return cost, err
 	}
+	idx := s.schema.Index(info.Attr)
 	from, err := s.ring.NodeNear(info.Owner)
 	if err != nil {
 		return cost, err

@@ -121,10 +121,10 @@ func (s *System) Register(info resource.Info) (discovery.Cost, error) {
 // RegisterTraced implements discovery.Traced: Register parented under the
 // caller's trace context.
 func (s *System) RegisterTraced(info resource.Info, tc discovery.TraceContext) (cost discovery.Cost, err error) {
-	h := s.hubOf(info.Attr)
-	if h < 0 {
-		return cost, fmt.Errorf("mercury: unknown attribute %q", info.Attr)
+	if err := info.Validate(s.schema); err != nil {
+		return cost, err
 	}
+	h := s.hubOf(info.Attr)
 	hub := s.hubs[h]
 	key := s.lph[h].Hash(info.Value)
 	from, err := hub.NodeNear(info.Owner)

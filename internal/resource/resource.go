@@ -5,6 +5,7 @@ package resource
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -181,6 +182,23 @@ func (in Info) String() string {
 	return fmt.Sprintf("<%s, %g, %s>", in.Attr, in.Value, in.Owner)
 }
 
+// Validate checks an announcement against a schema: a known attribute and
+// a finite value. Out-of-domain values are legal; the hashes clamp them.
+func (in Info) Validate(s *Schema) error {
+	if _, ok := s.Lookup(in.Attr); !ok {
+		return fmt.Errorf("resource: info on unknown attribute %q", in.Attr)
+	}
+	if !finite(in.Value) {
+		return fmt.Errorf("resource: info %v has a non-finite value", in)
+	}
+	return nil
+}
+
+// finite rejects NaN and ±Inf. NaN fails every comparison, so it would slip
+// through the bound checks below and reach the hashes as int(NaN·d); a
+// binary wire carries it, so it has to be refused here.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // SubQuery is a query over one attribute. Low == High expresses an exact
 // (non-range) query; Low < High expresses the range [Low, High], matching
 // the paper's "1GHz ≤ CPU ≤ 1.8GHz" form.
@@ -211,7 +229,7 @@ type Query struct {
 }
 
 // Validate checks the query against a schema: every sub-query must name a
-// known attribute (at most once) with a non-empty in-domain interval.
+// known attribute (at most once) with a finite, non-empty in-domain interval.
 func (q Query) Validate(s *Schema) error {
 	if len(q.Subs) == 0 {
 		return fmt.Errorf("resource: empty query")
@@ -226,6 +244,9 @@ func (q Query) Validate(s *Schema) error {
 			return fmt.Errorf("resource: duplicate sub-query for attribute %q", sub.Attr)
 		}
 		seen[sub.Attr] = true
+		if !finite(sub.Low) || !finite(sub.High) {
+			return fmt.Errorf("resource: sub-query %v has a non-finite bound", sub)
+		}
 		if sub.Low > sub.High {
 			return fmt.Errorf("resource: sub-query %v has inverted bounds", sub)
 		}

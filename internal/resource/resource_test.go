@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -116,11 +117,35 @@ func TestQueryValidate(t *testing.T) {
 		{Query{Subs: []SubQuery{{Attr: "cpu", Low: 2, High: 1}}}, false},
 		{Query{Subs: []SubQuery{{Attr: "cpu", Low: 4000, High: 5000}}}, false},
 		{Query{Subs: []SubQuery{{Attr: "cpu", Low: 1000, High: 1100}, {Attr: "cpu", Low: 1, High: 2}}}, false},
+		{Query{Subs: []SubQuery{{Attr: "cpu", Low: math.NaN(), High: 1800}}}, false},
+		{Query{Subs: []SubQuery{{Attr: "cpu", Low: 1000, High: math.NaN()}}}, false},
+		{Query{Subs: []SubQuery{{Attr: "cpu", Low: math.NaN(), High: math.NaN()}}}, false},
+		{Query{Subs: []SubQuery{{Attr: "cpu", Low: math.Inf(-1), High: 1800}}}, false},
+		{Query{Subs: []SubQuery{{Attr: "cpu", Low: 1000, High: math.Inf(1)}}}, false},
 	}
 	for i, c := range cases {
 		err := c.q.Validate(s)
 		if (err == nil) != c.ok {
 			t.Errorf("case %d: Validate(%v) error=%v, want ok=%v", i, c.q, err, c.ok)
+		}
+	}
+}
+
+func TestInfoValidate(t *testing.T) {
+	s := MustSchema(Attribute{Name: "cpu", Min: 100, Max: 3200})
+	for _, c := range []struct {
+		in Info
+		ok bool
+	}{
+		{Info{Attr: "cpu", Value: 1800, Owner: "a"}, true},
+		{Info{Attr: "cpu", Value: 9000, Owner: "a"}, true}, // out of domain: clamped by the hashes
+		{Info{Attr: "gpu", Value: 1, Owner: "a"}, false},
+		{Info{Attr: "cpu", Value: math.NaN(), Owner: "a"}, false},
+		{Info{Attr: "cpu", Value: math.Inf(1), Owner: "a"}, false},
+		{Info{Attr: "cpu", Value: math.Inf(-1), Owner: "a"}, false},
+	} {
+		if err := c.in.Validate(s); (err == nil) != c.ok {
+			t.Errorf("Validate(%v) error=%v, want ok=%v", c.in, err, c.ok)
 		}
 	}
 }

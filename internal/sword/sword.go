@@ -53,6 +53,7 @@ type System struct {
 	*capability.Base[*chord.Node]
 	schema *resource.Schema
 	ring   *chord.Ring
+	keys   []uint64 // by schema index: the attribute's ring key H(attr)
 	rep    *replication.Replicator
 	fabric *routing.Fabric
 }
@@ -79,6 +80,7 @@ func New(cfg Config) (*System, error) {
 		Base:   base,
 		schema: cfg.Schema,
 		ring:   r,
+		keys:   hashing.AttributeKeys(r.Space(), cfg.Schema),
 		rep:    rep,
 		fabric: base.RoutingFabric(),
 	}, nil
@@ -90,10 +92,8 @@ func (s *System) AddNodes(addrs []string) error { return s.ring.AddBulk(addrs) }
 // Ring exposes the underlying Chord ring for experiments and tests.
 func (s *System) Ring() *chord.Ring { return s.ring }
 
-// attrKey returns the ring key of an attribute: H(attr).
-func (s *System) attrKey(attr string) uint64 {
-	return hashing.Consistent(s.ring.Space(), attr)
-}
+// attrKey returns the ring key of a schema attribute: H(attr).
+func (s *System) attrKey(attr string) uint64 { return s.keys[s.schema.Index(attr)] }
 
 // Register implements discovery.System: one insert under H(attr); the
 // attribute root accumulates every piece of the attribute.
@@ -104,8 +104,8 @@ func (s *System) Register(info resource.Info) (discovery.Cost, error) {
 // RegisterTraced implements discovery.Traced: Register parented under the
 // caller's trace context.
 func (s *System) RegisterTraced(info resource.Info, tc discovery.TraceContext) (cost discovery.Cost, err error) {
-	if _, ok := s.schema.Lookup(info.Attr); !ok {
-		return cost, fmt.Errorf("sword: unknown attribute %q", info.Attr)
+	if err := info.Validate(s.schema); err != nil {
+		return cost, err
 	}
 	key := s.attrKey(info.Attr)
 	from, err := s.ring.NodeNear(info.Owner)

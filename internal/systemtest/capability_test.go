@@ -2,6 +2,7 @@ package systemtest
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -145,6 +146,24 @@ func TestCapabilityConformance(t *testing.T) {
 				t.Fatalf("after the leave: NodeCount %d, %d addresses, want 48", c.NodeCount(), len(c.NodeAddrs()))
 			}
 			same(t, answers(t, c, queries), want, "after join, graceful leave and Maintain")
+		})
+
+		// NaN fails every comparison and ±Inf is no value: the binary wire
+		// carries both, so every system must refuse them and store nothing.
+		t.Run(spec.Name+"/non-finite", func(t *testing.T) {
+			c := build(t, 1)
+			attr := schema.At(0).Name
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				if _, err := c.Register(resource.Info{Attr: attr, Value: v, Owner: "site-x"}); err == nil {
+					t.Fatalf("Register of value %v accepted", v)
+				}
+				for _, sub := range []resource.SubQuery{{Attr: attr, Low: v, High: 100}, {Attr: attr, Low: 1, High: v}, {Attr: attr, Low: v, High: v}} {
+					if _, err := c.Discover(resource.Query{Subs: []resource.SubQuery{sub}, Requester: "req-x"}); err == nil {
+						t.Fatalf("Discover of %+v accepted", sub)
+					}
+				}
+			}
+			same(t, answers(t, c, queries), want, "after refused non-finite announcements")
 		})
 
 		t.Run(spec.Name+"/replicas", func(t *testing.T) {

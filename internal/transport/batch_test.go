@@ -2,7 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"net"
+	"math"
 	"testing"
 
 	"lorm/internal/discovery"
@@ -75,6 +75,7 @@ func TestBatchItemsFailIndependently(t *testing.T) {
 		{Attr: "cpu", Value: 1000, Owner: "owner-good"},
 		{Attr: "no-such-attr", Value: 1, Owner: "owner-bad"},
 		{Attr: "mem", Value: 2048, Owner: "owner-good-2"},
+		{Attr: "cpu", Value: math.NaN(), Owner: "owner-nan"}, // the binary wire carries it; validation must refuse it
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,13 +83,16 @@ func TestBatchItemsFailIndependently(t *testing.T) {
 	if !results[0].OK || !results[2].OK {
 		t.Fatalf("valid items failed: %+v", results)
 	}
-	if results[1].OK || results[1].Error == "" {
-		t.Fatalf("invalid item did not carry its own error: %+v", results[1])
+	for _, bad := range []int{1, 3} {
+		if results[bad].OK || results[bad].Error == "" {
+			t.Fatalf("invalid item %d did not carry its own error: %+v", bad, results[bad])
+		}
 	}
 
 	qres, err := cli.DiscoverBatch([]BatchQuery{
 		{Subs: []resource.SubQuery{{Attr: "cpu", Low: 100, High: 3200}}, Requester: "req-a"},
 		{Subs: nil, Requester: "req-empty"}, // no sub-queries: per-item error
+		{Subs: []resource.SubQuery{{Attr: "cpu", Low: 100, High: math.Inf(1)}}, Requester: "req-inf"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +100,10 @@ func TestBatchItemsFailIndependently(t *testing.T) {
 	if !qres[0].OK {
 		t.Fatalf("valid query failed: %s", qres[0].Error)
 	}
-	if qres[1].OK || qres[1].Error == "" {
-		t.Fatalf("empty query did not carry its own error: %+v", qres[1])
+	for _, bad := range []int{1, 2} {
+		if qres[bad].OK || qres[bad].Error == "" {
+			t.Fatalf("invalid query %d did not carry its own error: %+v", bad, qres[bad])
+		}
 	}
 }
 
@@ -141,36 +147,5 @@ func TestBatchCarriesTraceContext(t *testing.T) {
 	}
 	if !qres[0].OK {
 		t.Fatalf("traced discover failed: %s", qres[0].Error)
-	}
-}
-
-// Old servers must tolerate new-client frames and new servers old-client
-// frames; the wire stays version 1. A raw old-style request (no batch
-// fields) against the new server must work unchanged.
-func TestBatchFieldsVersionTolerant(t *testing.T) {
-	srv, err := NewServer(testSystem(t), "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// A seed-era client frame: version 1, no ID discipline, no batch fields.
-	if err := writeFrame(conn, &Request{Version: 1, ID: 7, Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.ID != 7 {
-		t.Fatalf("old-style ping got %+v", resp)
-	}
-	if len(resp.Results) != 0 {
-		t.Fatalf("non-batch response carries batch results: %+v", resp.Results)
 	}
 }

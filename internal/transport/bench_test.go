@@ -47,7 +47,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 }
 
 // BenchmarkCodecEncode isolates the write side (the sync.Pool'd buffer
-// path); decode still allocates the output structures by nature of JSON.
+// path), which allocates nothing; decode allocates the message it returns.
 func BenchmarkCodecEncode(b *testing.B) {
 	req := benchDiscoverRequest()
 	var buf bytes.Buffer

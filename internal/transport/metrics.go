@@ -23,16 +23,12 @@ var (
 		"malformed or oversized frames received by gateway servers")
 	mRequestVec = metrics.Default().CounterVec("transport_requests_total",
 		"requests handled by gateway servers", "verb")
-	mRequests = map[Op]*metrics.Counter{
-		OpPing:          mRequestVec.With(string(OpPing)),
-		OpRegister:      mRequestVec.With(string(OpRegister)),
-		OpDiscover:      mRequestVec.With(string(OpDiscover)),
-		OpRegisterBatch: mRequestVec.With(string(OpRegisterBatch)),
-		OpDiscoverBatch: mRequestVec.With(string(OpDiscoverBatch)),
-		OpStats:         mRequestVec.With(string(OpStats)),
-		OpAddNode:       mRequestVec.With(string(OpAddNode)),
-		OpRemove:        mRequestVec.With(string(OpRemove)),
-	}
+	mRequests = func() (cs [OpRemove + 1]*metrics.Counter) {
+		for op := OpPing; op <= OpRemove; op++ {
+			cs[op] = mRequestVec.With(op.String())
+		}
+		return cs
+	}()
 	mRequestsUnknown = mRequestVec.With("unknown")
 	mIdleDisconnects = metrics.Default().Counter("transport_server_idle_disconnects_total",
 		"connections closed by gateway servers after the read deadline expired")
@@ -118,10 +114,10 @@ var (
 		"operations carried inside batch frames accepted by gateway servers", "verb")
 	mBatchDispatchedVec = metrics.Default().CounterVec("transport_batch_dispatched_total",
 		"batch items individually executed (or rejected) by gateway servers", "verb")
-	mBatchRegisterOps        = mBatchOpsVec.With(string(OpRegisterBatch))
-	mBatchDiscoverOps        = mBatchOpsVec.With(string(OpDiscoverBatch))
-	mBatchRegisterDispatched = mBatchDispatchedVec.With(string(OpRegisterBatch))
-	mBatchDiscoverDispatched = mBatchDispatchedVec.With(string(OpDiscoverBatch))
+	mBatchRegisterOps        = mBatchOpsVec.With(OpRegisterBatch.String())
+	mBatchDiscoverOps        = mBatchOpsVec.With(OpDiscoverBatch.String())
+	mBatchRegisterDispatched = mBatchDispatchedVec.With(OpRegisterBatch.String())
+	mBatchDiscoverDispatched = mBatchDispatchedVec.With(OpDiscoverBatch.String())
 )
 
 // Failure-injection counters surfaced in the OpStats digest. Registration
@@ -179,11 +175,11 @@ var (
 
 // countRequest bumps the per-verb request counter.
 func countRequest(op Op) {
-	if c, ok := mRequests[op]; ok {
-		c.Inc()
+	if op == 0 || int(op) >= len(mRequests) {
+		mRequestsUnknown.Inc()
 		return
 	}
-	mRequestsUnknown.Inc()
+	mRequests[op].Inc()
 }
 
 // countingConn wraps a server-side connection and accounts its traffic.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -136,14 +137,27 @@ func (p *pipe) resolve(pc *pendingCall, resp *Response, err error) {
 	close(pc.done)
 }
 
-// writeLoop drains sendq onto the wire. Any write error kills the pipe —
-// after a partial frame the stream cannot be trusted.
+// wireBuf sizes each end's buffered reader and writer: large enough that a
+// window of small frames shares one system call, small enough that four of
+// them per connection do not show in the gateway's live heap.
+const wireBuf = 8 << 10
+
+// writeLoop drains sendq onto the wire through a buffer it flushes whenever
+// sendq is empty: a lone call's frame leaves at once, a burst of callers
+// shares writes. Any write or flush error kills the pipe — after a partial
+// frame the stream cannot be trusted — and is charged to the call whose
+// frame triggered it; frames still buffered count as possibly sent.
 func (p *pipe) writeLoop() {
 	defer p.wg.Done()
+	bw := bufio.NewWriterSize(p.conn, wireBuf)
 	for {
 		select {
 		case pc := <-p.sendq:
-			if err := writeFrame(p.conn, pc.req); err != nil {
+			err := writeFrame(bw, pc.req)
+			if err == nil && len(p.sendq) == 0 {
+				err = bw.Flush()
+			}
+			if err != nil {
 				p.kill(err, pc)
 				return
 			}
@@ -159,9 +173,10 @@ func (p *pipe) writeLoop() {
 // entries only leave the map through this loop or through kill.
 func (p *pipe) readLoop() {
 	defer p.wg.Done()
+	br := bufio.NewReaderSize(p.conn, wireBuf)
 	for {
 		var resp Response
-		if err := readFrame(p.conn, &resp); err != nil {
+		if err := readFrame(br, &resp); err != nil {
 			p.kill(err, nil)
 			return
 		}

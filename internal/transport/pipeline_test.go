@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -310,5 +312,206 @@ func TestInflightGaugeSettlesAndPeakBounded(t *testing.T) {
 	}
 	if peak, slots := mPipelineInflightPeak.Value(), mPipelineWindowSlots.Value(); peak > slots {
 		t.Fatalf("inflight peak %d exceeds window slots %d", peak, slots)
+	}
+}
+
+// tapConn sits under a client pipe's buffers, where the system calls would
+// be: it counts socket writes, can hold the first one until released, and
+// can be made to fail every later one.
+type tapConn struct {
+	net.Conn
+	writes  atomic.Int64
+	hold    chan struct{} // non-nil: the first Write waits for release
+	held    sync.Once
+	release sync.Once
+	fail    atomic.Bool
+}
+
+func (c *tapConn) letGo() { c.release.Do(func() { close(c.hold) }) }
+
+var errTapWrite = errors.New("tap: write refused")
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	if c.fail.Load() {
+		return 0, errTapWrite
+	}
+	c.writes.Add(1)
+	if c.hold != nil {
+		c.held.Do(func() { <-c.hold })
+	}
+	return c.Conn.Write(p)
+}
+
+// tapped dials through a tapConn.
+func tapped(t *testing.T, addr string, tap *tapConn) *Client {
+	t.Helper()
+	opts := fastOpts()
+	opts.CallTimeout = 5 * time.Second
+	opts.Retries = -1
+	opts.Window = 16
+	opts.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		tap.Conn = conn
+		return tap, err
+	}
+	cli, err := DialOptions(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if tap.hold != nil {
+			tap.letGo() // a failed test must not leave the writer stuck in the tap
+		}
+		cli.Close()
+	})
+	return cli
+}
+
+// waitFor polls cond, failing the test if it does not hold in time.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// Both ends buffer their writes and flush only when nobody else is about
+// to write; a call alone on an idle pipe must still complete on its own,
+// never held waiting for a second one to share the flush with.
+func TestLoneCallOnIdlePipeIsNotHeld(t *testing.T) {
+	_, cli := startPair(t)
+	for i := 0; i < 3; i++ {
+		done := make(chan error, 1)
+		go func() { done <- cli.Ping() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("lone call %d was held", i)
+		}
+	}
+}
+
+// Callers that arrive while the writer is busy share its next flush: N
+// frames reach the socket in fewer than N writes.
+func TestConcurrentCallersShareSocketWrites(t *testing.T) {
+	addr, _ := fakeGateway(t, func(conn net.Conn, n int) {
+		for okPing(conn) {
+		}
+	})
+	tap := &tapConn{hold: make(chan struct{})}
+	cli := tapped(t, addr, tap)
+
+	const callers = 8
+	errs := make(chan error, callers)
+	discover := func(i int) {
+		_, _, _, err := cli.Discover([]resource.SubQuery{{Attr: "cpu", Low: 0, High: 1}}, fmt.Sprintf("req-%d", i))
+		errs <- err
+	}
+	// The first call's flush is held in the socket, so the writer is busy
+	// while the others arrive, and they queue behind it.
+	go discover(0)
+	waitFor(t, "the first frame to reach the socket", func() bool { return tap.writes.Load() == 1 })
+	for i := 1; i < callers; i++ {
+		go discover(i)
+	}
+	p, err := cli.pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the other callers to queue", func() bool { return len(p.sendq) == callers-1 })
+	tap.letGo()
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tap.writes.Load(); got != 2 {
+		t.Fatalf("%d frames took %d socket writes, want 2: the held one and one for the rest", callers, got)
+	}
+}
+
+// A flush that fails is the failure of the call whose frame triggered it:
+// that call gets the write error itself, every other in-flight call the
+// collateral pipeline error.
+func TestFailedFlushChargesItsCaller(t *testing.T) {
+	var reads atomic.Int64
+	addr, _ := fakeGateway(t, func(conn net.Conn, n int) {
+		var req Request
+		for readFrame(conn, &req) == nil { // read everything, answer nothing
+			reads.Add(1)
+		}
+	})
+	tap := &tapConn{}
+	cli := tapped(t, addr, tap)
+
+	const inflight = 4
+	errs := make(chan error, inflight)
+	for i := 0; i < inflight; i++ {
+		go func(i int) {
+			_, _, _, err := cli.Discover([]resource.SubQuery{{Attr: "cpu", Low: 0, High: 1}}, fmt.Sprintf("req-%d", i))
+			errs <- err
+		}(i)
+	}
+	waitFor(t, "the in-flight calls to reach the gateway", func() bool { return reads.Load() == inflight })
+
+	tap.fail.Store(true)
+	if err := cli.Ping(); !errors.Is(err, errTapWrite) || errors.Is(err, errPipelineBroken) {
+		t.Fatalf("culprit got %v, want the write error itself", err)
+	}
+	for i := 0; i < inflight; i++ {
+		if err := <-errs; !errors.Is(err, errPipelineBroken) {
+			t.Fatalf("bystander got %v, want the collateral pipeline error", err)
+		}
+	}
+}
+
+// countingWriter stands where a server connection's socket would be.
+type countingWriter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// The server's half of the rule: a lone response is flushed by its own
+// sender, and of the senders queued on a connection's write lock only the
+// last flushes, so their frames share one socket write.
+func TestServerFlushCombinesQueuedResponses(t *testing.T) {
+	sock := &countingWriter{}
+	cw := &connWriter{bw: bufio.NewWriterSize(sock, wireBuf)}
+	cw.send(&Response{Version: Version, ID: 1, OK: true})
+	if sock.writes != 1 {
+		t.Fatalf("a lone response took %d socket writes, want 1", sock.writes)
+	}
+
+	const senders = 8
+	var wg sync.WaitGroup
+	cw.mu.Lock() // a sender mid-write: the others queue behind it
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cw.send(&Response{Version: Version, ID: uint64(2 + i), OK: true})
+		}(i)
+	}
+	waitFor(t, "the senders to queue", func() bool { return cw.queued.Load() == senders })
+	cw.mu.Unlock()
+	wg.Wait()
+	if sock.writes != 2 {
+		t.Fatalf("%d queued responses took %d socket writes, want 1", senders, sock.writes-1)
+	}
+	for i := 0; i < 1+senders; i++ {
+		var resp Response
+		if err := readFrame(&sock.Buffer, &resp); err != nil {
+			t.Fatalf("frame %d of %d: %v", i, 1+senders, err)
+		}
 	}
 }

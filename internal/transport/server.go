@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lorm/internal/discovery"
@@ -18,8 +20,9 @@ import (
 
 // Server-side I/O deadlines. The read deadline is an idle cap — how long a
 // connection may sit between requests before the server reclaims it — so it
-// is generous; the write deadline bounds flushing one response to a stalled
-// peer. Package variables rather than constants so tests can shrink them.
+// is generous; the write deadline bounds one flush of buffered responses to a
+// stalled peer. Package variables rather than constants so tests can shrink
+// them.
 var (
 	serverReadTimeout  = 2 * time.Minute
 	serverWriteTimeout = 15 * time.Second
@@ -147,17 +150,23 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 		mActiveConns.Dec()
 	}()
+	// Bytes are counted at the socket, under the buffers, so they stay exact.
 	cc := countingConn{Conn: conn}
-	// writeMu serializes response frames from concurrent handlers.
-	var writeMu sync.Mutex
+	br := bufio.NewReaderSize(cc, wireBuf)
+	cw := &connWriter{conn: conn, log: s.log, bw: bufio.NewWriterSize(deadlineWriter{cc}, wireBuf)}
 	sem := make(chan struct{}, serverConnConcurrency)
 	for {
 		if serverReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(serverReadTimeout))
 		}
 		req := new(Request) // each in-flight handler owns its request
-		if err := readFrame(cc, req); err != nil {
+		if err := readFrame(br, req); err != nil {
+			var ve *versionError
 			switch {
+			case errors.As(err, &ve):
+				// The frame boundary held, so the peer can be told, by ID.
+				cw.send(&Response{Version: Version, ID: ve.id, Error: ve.Error()})
+				continue
 			case isTimeout(err):
 				// Half-open or abandoned peer: reclaim the goroutine and fd.
 				mIdleDisconnects.Inc()
@@ -177,7 +186,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			resp := s.handle(req)
 			if s.log.Enabled(context.Background(), slog.LevelDebug) {
 				args := []any{
-					"verb", string(req.Op),
+					"verb", req.Op.String(),
 					"remote", conn.RemoteAddr().String(),
 					"dur", time.Since(start),
 					"ok", resp.OK,
@@ -187,17 +196,52 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				s.log.Debug("request", args...)
 			}
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			if serverWriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-			}
-			if err := writeFrame(cc, resp); err != nil {
-				s.log.Warn("response write failed", "remote", conn.RemoteAddr().String(), "err", err)
-				conn.Close() // wake the read loop; remaining handlers fail fast
-			}
+			cw.send(resp)
 		}()
 	}
+}
+
+// connWriter serializes one connection's response frames into a buffer and
+// flush-combines them: every sender announces itself before taking the
+// lock, and only a sender that leaves nobody announced behind it flushes.
+// A lone response is therefore flushed by its own sender, never held, and
+// the responses of a pipelined window share system calls.
+type connWriter struct {
+	conn   net.Conn
+	log    *slog.Logger
+	queued atomic.Int32 // senders that have a response and have not yet buffered it
+
+	mu sync.Mutex
+	bw *bufio.Writer
+}
+
+func (w *connWriter) send(resp *Response) {
+	w.queued.Add(1)
+	w.mu.Lock()
+	err := writeFrame(w.bw, resp)
+	flush := w.queued.Add(-1) == 0 && err == nil
+	if flush {
+		err = w.bw.Flush()
+	}
+	w.mu.Unlock()
+	if err != nil {
+		w.log.Warn("response write failed", "remote", w.conn.RemoteAddr().String(), "err", err)
+		w.conn.Close() // wake the read loop; remaining handlers fail fast
+	}
+	if flush {
+		yieldThread() // outside the lock: the next sender need not wait for us to be run again
+	}
+}
+
+// deadlineWriter arms the write deadline before each write the buffer makes
+// to the socket, a flush or an overflow alike, so each is bounded afresh.
+type deadlineWriter struct{ countingConn }
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	if serverWriteTimeout > 0 {
+		w.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
+	}
+	return w.countingConn.Write(p)
 }
 
 // handle executes one request against the system.
@@ -207,9 +251,6 @@ func (s *Server) handle(req *Request) *Response {
 		resp.OK = false
 		resp.Error = fmt.Sprintf(format, args...)
 		return resp
-	}
-	if req.Version != Version {
-		return fail("protocol version %d unsupported (want %d)", req.Version, Version)
 	}
 	countRequest(req.Op)
 	switch req.Op {
@@ -372,9 +413,8 @@ func (s *Server) handle(req *Request) *Response {
 }
 
 // traced reports whether the request carries a trace context the served
-// system can join: old clients (no Trace field) and systems without the
-// Traced interface fall back to the plain verbs, so the protocol stays
-// version-tolerant in both directions.
+// system can join: untraced calls and systems without the Traced interface
+// take the plain verbs.
 func (s *Server) traced(req *Request) (discovery.Traced, bool) {
 	if req.Trace == nil || !req.Trace.Valid() {
 		return nil, false

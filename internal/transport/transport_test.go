@@ -51,7 +51,7 @@ func startPair(t *testing.T) (*Server, *Client) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := Request{Version: 1, ID: 7, Op: OpPing}
+	in := Request{Version: Version, ID: 7, Op: OpPing}
 	if err := writeFrame(&buf, &in); err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +170,11 @@ func TestServerErrors(t *testing.T) {
 	if err := readFrame(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || !strings.Contains(resp.Error, "version") {
-		t.Fatalf("version mismatch accepted: %+v", resp)
+	if resp.OK || resp.ID != 1 || !strings.Contains(resp.Error, "protocol version 99 unsupported") {
+		t.Fatalf("version mismatch not answered explicitly, by ID: %+v", resp)
 	}
-	if err := writeFrame(conn, &Request{Version: 1, ID: 2, Op: "nonsense"}); err != nil {
+	// The connection survives it: the frame boundary held.
+	if err := writeFrame(conn, &Request{Version: Version, ID: 2, Op: Op(200)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := readFrame(conn, &resp); err != nil {
